@@ -113,10 +113,11 @@ class ConstructionStrategy:
     random permutation of the same near-equal level multiset, so all
     codewords share one own-statistic scale and a single decoder threshold
     calibrates uniformly; ``uniform`` draws slots independently instead.
-    ``separation_scale`` multiplies the required minimum distance; values
-    above 1 trade codebook size for decoder margin.  Construction stops at
-    ``max_codewords`` or after ``stop_rejections_per_word`` times the
-    current size of consecutive rejections.
+    ``separation_scale`` (at least 1) multiplies the required minimum
+    distance; values above 1 trade codebook size for decoder margin.
+    Construction stops at ``max_codewords`` or after
+    ``stop_rejections_per_word`` times the current size of consecutive
+    rejections.
     """
 
     levels: tuple[float, ...] | None = None
@@ -209,6 +210,8 @@ def construct_codebook(
         raise ValueError("composition must be 'balanced' or 'uniform'")
     if strategy.max_codewords < 1:
         raise ValueError("max_codewords must be at least 1")
+    if not strategy.separation_scale >= 1:
+        raise ValueError("separation_scale must be at least 1")
     if strategy.composition == "balanced":
         counts = np.full(levels.size, n // levels.size)
         counts[: n % levels.size] += 1  # remainder on the lowest levels
@@ -216,7 +219,8 @@ def construct_codebook(
 
     budget = n * constraints.average
     accepted: list[np.ndarray] = []
-    sqrt_accepted: list[np.ndarray] = []
+    # Accepted sqrt-codewords as the first len(accepted) rows; doubles when full.
+    pool = np.empty((min(strategy.max_codewords, 64), n))
     rejections = 0
     candidate = 0
     while len(accepted) < strategy.max_codewords:
@@ -230,15 +234,16 @@ def construct_codebook(
         if total > budget:
             x = x * (budget / total)
         s = reparameterize(x, params)
-        if sqrt_accepted:
-            dmin = min(float(np.linalg.norm(s - t)) for t in sqrt_accepted)
-            if dmin < needed:
-                rejections += 1
-                if rejections >= strategy.stop_rejections_per_word * max(1, len(accepted)):
-                    break
-                continue
+        k = len(accepted)
+        if k and np.linalg.norm(pool[:k] - s, axis=1).min() < needed:
+            rejections += 1
+            if rejections >= strategy.stop_rejections_per_word * k:
+                break
+            continue
+        if k == pool.shape[0]:
+            pool = np.concatenate([pool, np.empty_like(pool)])
+        pool[k] = s
         accepted.append(x)
-        sqrt_accepted.append(s)
         rejections = 0
 
     if not accepted:
@@ -258,8 +263,13 @@ def construct_codebook(
 
 
 def _statistics(outputs: np.ndarray, intensity: np.ndarray, n: int) -> np.ndarray:
-    """Mean absolute deviation of the first n output slots from an intensity."""
-    return np.abs(outputs[:, :n] - intensity[:n]).mean(axis=1)
+    """Mean absolute deviation of the first n output slots from an intensity.
+
+    The same sum-then-divide as ``.mean(axis=1)``, with one temporary.
+    """
+    diff = outputs[:, :n] - intensity[:n]
+    np.abs(diff, out=diff)
+    return np.add.reduce(diff, axis=1) / n
 
 
 def decode_identify(y, index: int, book: DICodebook) -> bool:
@@ -323,6 +333,12 @@ def calibrate_threshold(
     return book.threshold
 
 
+def _ordered_pair(k: int, count: int) -> tuple[int, int]:
+    """The k-th ordered pair (i, j), i != j, in row-major order over count codewords."""
+    i, r = divmod(k, count - 1)
+    return i, r + (r >= i)
+
+
 def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
     """Monte Carlo Type I / Type II error estimates with Wilson intervals.
 
@@ -342,9 +358,8 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
         sampling = "full"
     else:
         rng = spawn(seed, "pairs")
-        all_pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
-        picks = rng.choice(len(all_pairs), size=PAIR_SAMPLE_FACTOR * count, replace=False)
-        pairs = [all_pairs[k] for k in sorted(picks)]
+        picks = rng.choice(count * (count - 1), size=PAIR_SAMPLE_FACTOR * count, replace=False)
+        pairs = [_ordered_pair(int(k), count) for k in sorted(picks)]
         sampling = "subsampled"
 
     tested_by_sender: dict[int, list[int]] = {}
@@ -357,10 +372,11 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
     for i in range(count):
         rng = spawn(seed, "estimate", i)
         outputs = rng.poisson(book.intensities[i], size=(trials, n + book.params.memory))
-        own = _statistics(outputs, book.intensities[i], n)
+        counts = outputs[:, :n].astype(float)  # converted once, tested many times
+        own = _statistics(counts, book.intensities[i], n)
         type1[i] = ErrorEstimate(int((own > book.threshold).sum()), trials)
         for j in tested_by_sender.get(i, ()):
-            other = _statistics(outputs, book.intensities[j], n)
+            other = _statistics(counts, book.intensities[j], n)
             type2[(i, j)] = ErrorEstimate(int((other <= book.threshold).sum()), trials)
 
     return SimResult(

@@ -258,7 +258,8 @@ def _ml_decode(y_window: np.ndarray, intensities: np.ndarray) -> int:
     y = np.asarray(y_window, dtype=float)
     with np.errstate(divide="ignore"):
         log_mu = np.log(intensities)
-    terms = np.where(y[None, :] > 0, y[None, :] * log_mu, 0.0)
+    # y * log(mu) only where y > 0: zero-count slots add 0, never 0 * log 0.
+    terms = np.multiply(y, log_mu, out=np.zeros(log_mu.shape), where=y > 0)
     scores = terms.sum(axis=1) - intensities.sum(axis=1)
     return int(np.argmax(scores))
 

@@ -236,7 +236,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not 0 < total < 1:
             violations.append(f"lambda1+lambda2 must lie in (0, 1), got {total}")
         data.setdefault("max_codewords", 16)
-        data.setdefault("separation_scale", 1.0)
+        scale = data.setdefault("separation_scale", 1.0)
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale >= 1:
+            violations.append(f"separation_scale: must be a number >= 1, got {scale!r}")
         if isinstance(data.get("trials"), int):
             data.setdefault("calibration_trials", max(1000, data["trials"]))
         data.setdefault("calibration_target", data["lambda1"])

@@ -20,7 +20,7 @@ from dipc import (
     reparameterize,
     validate_codebook,
 )
-from dipc.di_code import CalibrationError, di_rate_from_bits
+from dipc.di_code import CalibrationError, _ordered_pair, _statistics, di_rate_from_bits
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -172,6 +172,89 @@ class TestConstruction:
         with pytest.raises(ValueError):
             construct_codebook(8, FIG2, POWER, 0.6, 0.5)
 
+    @pytest.mark.parametrize("scale", [0.5, 0.999, 0.0, -1.0, math.nan])
+    def test_separation_scale_below_one_rejected_up_front(self, scale):
+        with pytest.raises(ValueError, match="separation_scale must be at least 1"):
+            construct_codebook(4, FIG2, POWER, 0.1, 0.1,
+                               strategy=ConstructionStrategy(separation_scale=scale))
+
+
+def reference_codewords(n, params, constraints, strategy, seed):
+    """Codewords of the per-row packing loop (one norm per accepted codeword,
+    one candidate at a time) at Type I and Type II budgets 0.1."""
+    radius = min_distance_radius(0.1, 0.1)
+    needed = 2.0 * radius * strategy.separation_scale
+    levels = strategy.levels
+    if levels is None:
+        levels = (0.0, constraints.peak / 2.0, constraints.peak)
+    levels = np.sort(np.asarray(levels, dtype=float))
+    counts = np.full(levels.size, n // levels.size)
+    counts[: n % levels.size] += 1
+    base = np.repeat(levels, counts)
+    budget = n * constraints.average
+    accepted, sqrt_accepted = [], []
+    rejections = 0
+    candidate = 0
+    while len(accepted) < strategy.max_codewords:
+        rng = spawn(seed, "codebook", candidate)
+        candidate += 1
+        if strategy.composition == "balanced":
+            x = rng.permutation(base)
+        else:
+            x = rng.choice(levels, size=n)
+        total = x.sum()
+        if total > budget:
+            x = x * (budget / total)
+        s = reparameterize(x, params)
+        if sqrt_accepted:
+            dmin = min(float(np.linalg.norm(s - t)) for t in sqrt_accepted)
+            if dmin < needed:
+                rejections += 1
+                if rejections >= strategy.stop_rejections_per_word * max(1, len(accepted)):
+                    break
+                continue
+        accepted.append(x)
+        sqrt_accepted.append(s)
+        rejections = 0
+    return np.stack(accepted)
+
+
+class TestPackingEquivalence:
+    """The batched packing test accepts exactly the codewords the per-row loop did."""
+
+    CASES = {
+        "balanced-streak-stop": (6, POWER, ConstructionStrategy(max_codewords=1000)),
+        "uniform-streak-stop": (4, POWER, ConstructionStrategy(max_codewords=1000,
+                                                               composition="uniform")),
+        "on-off-levels": (7, POWER, ConstructionStrategy(levels=(0.0, 10.0),
+                                                         max_codewords=1000,
+                                                         stop_rejections_per_word=20)),
+        "wider-separation": (8, POWER, ConstructionStrategy(max_codewords=1000,
+                                                            separation_scale=2.0)),
+        "average-rescaled": (6, PowerConstraints(peak=10.0, average=3.0),
+                             ConstructionStrategy(max_codewords=1000, composition="uniform",
+                                                  separation_scale=1.5)),
+        "pool-growth-balanced": (12, POWER, ConstructionStrategy(max_codewords=150)),
+        "pool-growth-uniform": (10, POWER, ConstructionStrategy(max_codewords=200,
+                                                                composition="uniform",
+                                                                stop_rejections_per_word=5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_codewords_as_per_row_loop(self, case, seed):
+        n, constraints, strategy = self.CASES[case]
+        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, strategy=strategy, seed=seed)
+        expected = reference_codewords(n, FIG2, constraints, strategy, seed)
+        assert book.num_codewords == expected.shape[0]
+        assert np.array_equal(book.codewords, expected)
+
+    def test_cases_cover_pool_growth(self):
+        for case in ("pool-growth-balanced", "pool-growth-uniform"):
+            n, constraints, strategy = self.CASES[case]
+            book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, strategy=strategy)
+            assert book.num_codewords > 64
+
 
 class TestDecoder:
     def test_rounded_intensity_accepted_with_generous_threshold(self):
@@ -237,6 +320,53 @@ class TestCalibration:
         book = small_book()
         theta = calibrate_threshold(book, 1000, seed=4)
         assert book.threshold == theta
+
+
+class TestStatistic:
+    def outputs(self, n=13, trials=50, memory=2):
+        """Poisson counts and a different intensity to test them against."""
+        rng = spawn(4, "statistic")
+        sent, tested = rng.uniform(0.1, 12.0, size=(2, n + memory))
+        return rng.poisson(sent, size=(trials, n + memory)), tested
+
+    @pytest.mark.parametrize("n", [1, 7, 13])
+    def test_matches_mean_absolute_deviation_bit_for_bit(self, n):
+        y, mu = self.outputs()
+        expected = np.abs(y[:, :n] - mu[:n]).mean(axis=1)
+        assert np.array_equal(_statistics(y, mu, n), expected)
+        assert np.array_equal(_statistics(y[:, :n].astype(float), mu, n), expected)
+
+    def test_does_not_modify_outputs(self):
+        y, mu = self.outputs()
+        counts = y[:, :13].astype(float)
+        before = counts.copy()
+        _statistics(counts, mu, 13)
+        assert np.array_equal(counts, before)
+
+
+def enumerated_pairs(count):
+    return [(i, j) for i in range(count) for j in range(count) if i != j]
+
+
+class TestPairSampling:
+    @pytest.mark.parametrize("count", [2, 3, 65, 96, 130])
+    def test_index_mapping_matches_enumeration(self, count):
+        pairs = enumerated_pairs(count)
+        assert [_ordered_pair(k, count) for k in range(len(pairs))] == pairs
+
+    def test_subsampled_pairs_match_enumerated_draw(self):
+        count, seed = 65, 12
+        rng = np.random.default_rng(0)
+        book = DICodebook(
+            codewords=rng.uniform(0.0, 10.0, size=(count, 4)),
+            params=FIG2, constraints=POWER, packing_radius=0.1,
+            type1_budget=0.1, type2_budget=0.1, threshold=2.0,
+        )
+        res = estimate_errors(book, 1, seed=seed)
+        all_pairs = enumerated_pairs(count)
+        picks = spawn(seed, "pairs").choice(len(all_pairs), size=64 * count, replace=False)
+        assert list(res.type2) == [all_pairs[k] for k in sorted(picks)]
+        assert res.extras["pair_sampling"] == "subsampled"
 
 
 class TestErrorEstimation:

@@ -332,6 +332,33 @@ class TestErrorEstimation:
         assert est.estimate == est2.estimate
 
 
+class TestDarkRateZero:
+    """Without dark counts, silent slots have intensity 0 and log(0) = -inf."""
+
+    SILENT = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0,
+                           dark_rate=0.0)
+
+    def code(self):
+        return build_dif_code(64, self.SILENT, peak=10.0, num_messages=8, hash_range=4, seed=2)
+
+    def test_ml_scores_unchanged_and_silent(self):
+        mu = self.code().phase2_intensities
+        assert (mu == 0).any()
+        for value in range(mu.shape[0]):
+            y = spawn(3, "silent", value).poisson(mu[value])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_mu = np.log(mu)
+                terms = np.where(y[None, :] > 0, y[None, :] * log_mu, 0.0)
+            scores = terms.sum(axis=1) - mu.sum(axis=1)
+            assert _ml_decode(y, mu) == int(np.argmax(scores))
+
+    def test_protocol_runs_without_warnings(self):
+        code = self.code()
+        assert estimate_inner_error(code, trials=200, seed=4).estimate < 0.25  # chance: 0.75
+        res = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=50, seed=5)
+        assert set(res.type2) == {(0, 1), (1, 0)}
+
+
 class TestCollisionBound:
     def test_single_message_always_feasible(self):
         assert collision_bound_check(1, 16, 0.5, 10.0)

@@ -106,6 +106,16 @@ class TestValidation:
             validate_config(bad)
         assert any("sum to 1" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("scale", ["x", -1, 0.5, True, None, [2]])
+    def test_separation_scale_must_be_a_number_at_least_one(self, scale):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(di_config(separation_scale=scale))
+        assert any(v.startswith("separation_scale:") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("scale", [1, 1.0, 2.5])
+    def test_separation_scale_at_least_one_accepted(self, scale):
+        assert validate_config(di_config(separation_scale=scale)).data["separation_scale"] == scale
+
     def test_dif_pair_indices_checked(self):
         cfg = {
             "kind": "dif-sim",
@@ -313,6 +323,15 @@ class TestCLI:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "config"
         assert len(record["violations"]) >= 2
+
+    def test_small_separation_scale_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, di_config(separation_scale=0.5))
+        code = cli_main(["di-sim", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert any(v.startswith("separation_scale:") for v in record["violations"])
+        assert not (tmp_path / "out").exists()
 
     def test_kind_mismatch(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, bounds_config())
