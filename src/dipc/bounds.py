@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, PowerConstraints
 from .di_code import memory_scaling, packing_log_count_bound, power_ball_radius
-from .measures import min_distance_radius, poisson_entropy_exact
+from .dif_protocol import letter_entropy_bits, letter_laws
+from .measures import min_distance_radius
 
 
 def di_capacity_bounds(kappa: float) -> tuple[float, float]:
@@ -33,8 +34,7 @@ def dif_capacity_lower(params: ChannelParams, peak: float) -> tuple[float, float
     scale = peak * params.slot_duration
     if scale <= 0:
         raise ValueError("asymptotic form undefined for zero peak intensity")
-    laws = params.hit_probs * scale + params.dark_rate
-    exact = sum(poisson_entropy_exact(law) for law in laws) / (params.memory + 1)
+    exact = letter_entropy_bits(letter_laws(params, peak)) / (params.memory + 1)
     asymptotic = 0.5 * math.log2(2 * math.pi * math.e * scale)
     return float(exact), asymptotic
 

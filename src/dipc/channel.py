@@ -117,13 +117,7 @@ def sample_output(x, params: ChannelParams, seed: int) -> np.ndarray:
     Deterministic for a fixed ``seed``; uses a hash-derived stream so the
     result does not depend on what else was sampled from the same master seed.
     """
-    mu = effective_intensity(x, params)
-    return sample_intensity(mu, spawn(seed, "channel"))
-
-
-def sample_intensity(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Poisson counts at the given per-slot means, from an explicit stream."""
-    return rng.poisson(mu)
+    return spawn(seed, "channel").poisson(effective_intensity(x, params))
 
 
 def validate_power(x, constraints: PowerConstraints) -> bool:

@@ -45,28 +45,14 @@ def main(argv=None) -> int:
         print(_error_record("config-load", message=str(exc)), file=sys.stderr)
         return 2
 
-    if not isinstance(raw, dict):
-        print(_error_record("config", violations=["config must be a JSON object"]),
-              file=sys.stderr)
-        return 2
-    raw.setdefault("kind", args.kind)
-    if raw["kind"] != args.kind:
-        print(
-            _error_record(
-                "config",
-                violations=[f"config kind {raw['kind']!r} does not match subcommand {args.kind!r}"],
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    if args.trials is not None:
-        raw["trials"] = args.trials
-
+    overrides = {"master_seed": args.seed, "out_dir": args.out, "trials": args.trials}
     try:
+        if not isinstance(raw, dict):
+            raise ConfigError(["config must be a JSON object"])
+        if raw.setdefault("kind", args.kind) != args.kind:
+            raise ConfigError(
+                [f"config kind {raw['kind']!r} does not match subcommand {args.kind!r}"])
+        raw.update({k: v for k, v in overrides.items() if v is not None})
         config = validate_config(raw)
     except ConfigError as exc:
         print(_error_record("config", violations=exc.violations), file=sys.stderr)

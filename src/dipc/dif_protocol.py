@@ -30,11 +30,9 @@ import numpy as np
 
 from .channel import ChannelParams, PowerConstraints, effective_intensity
 from .errors import ConstructionError
-from .measures import poisson_entropy_exact, poisson_pmf_truncated
+from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult
 from .seeding import spawn
-
-DEFAULT_TAIL_MASS = 1e-12
 
 # Finite-sample slack (in binomial sigmas) added to the typicality tolerance;
 # vanishes as the block count grows, leaving the pure letter-typicality test.
@@ -44,6 +42,11 @@ TYPICALITY_GUARD_SIGMAS = 4.0
 def letter_laws(params: ChannelParams, peak: float) -> np.ndarray:
     """Poisson means seen at each in-block position during the pilot phase."""
     return params.hit_probs * peak * params.slot_duration + params.dark_rate
+
+
+def letter_entropy_bits(laws, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
+    """Summed Poisson entropies (bits) of the per-position pilot laws."""
+    return sum(poisson_entropy_exact(float(law), tail_mass) for law in laws)
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,7 @@ def typical_log_size(n: int, spec: TypicalSetSpec) -> float:
     ceil(n/(memory+1)) times the summed per-position Poisson entropies."""
     period = spec.letter_laws.size
     blocks = math.ceil(n / period)
-    return blocks * sum(poisson_entropy_exact(float(law), spec.tail_mass)
-                        for law in spec.letter_laws)
+    return blocks * letter_entropy_bits(spec.letter_laws, spec.tail_mass)
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,15 @@ def build_inner_code(n: int, hash_range: int, params: ChannelParams,
         patterns.append(bits)
     codewords = np.stack(patterns).astype(float) * peak
     return InnerCode(length=length, amplitude=peak, codewords=codewords, params=params)
+
+
+def inner_pulse_bound(n: int, hash_range: int) -> int:
+    """Most peak slots a codeword of ``build_inner_code(n, hash_range, ...)``
+    can hold: half its length while the balanced patterns suffice, else all."""
+    length = math.ceil(math.sqrt(n))
+    # from length 68 on there are over 2**63 balanced patterns
+    balanced = length >= 68 or hash_range <= math.comb(length, length // 2)
+    return length // 2 if balanced else length
 
 
 def _ml_decode(y_window: np.ndarray, intensities: np.ndarray) -> int:
@@ -508,8 +519,7 @@ def max_messages_log_log(n: int, params: ChannelParams, peak: float) -> float:
     n/(memory+1) times the summed per-position pilot-law entropies (bits)."""
     if n < 1:
         raise ValueError("phase-1 length must be positive")
-    laws = letter_laws(params, peak)
-    return n / (params.memory + 1) * sum(poisson_entropy_exact(float(law)) for law in laws)
+    return n / (params.memory + 1) * letter_entropy_bits(letter_laws(params, peak))
 
 
 def dif_rate(log_log_bits: float, n: int) -> float:

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import serialize
 from .channel import ChannelParams, PowerConstraints
@@ -26,70 +24,34 @@ from .di_code import (
     calibrate_threshold,
     construct_codebook,
     estimate_errors,
+    memory_scaling,
+    power_ball_radius,
 )
-from .dif_protocol import build_dif_code, estimate_dif_errors, estimate_inner_error
+from .dif_protocol import (
+    build_dif_code,
+    estimate_dif_errors,
+    estimate_inner_error,
+    inner_pulse_bound,
+)
 from .errors import ConfigError
 from .measures import (
+    DEFAULT_TAIL_MASS,
     bhattacharyya,
+    min_distance_radius,
     poisson_bhattacharyya_sq,
     poisson_entropy_approx,
     poisson_entropy_exact,
     poisson_pmf_truncated,
     tv_distance,
 )
+from .results import result_row
 from .seeding import spawn
 
 RESULT_SCHEMA_VERSION = 1
-KINDS = ("bounds", "di-sim", "dif-sim", "measures-check")
 OUT_DIR_ENV = "DIPC_OUT_DIR"
 
-CSV_COLUMNS = (
-    "config_digest",
-    "metric",
-    "message_i",
-    "message_j",
-    "estimate",
-    "ci_low",
-    "ci_high",
-    "trials",
-    "seed",
-)
-
-_COMMON_KEYS = {"kind", "master_seed", "out_dir"}
-_KIND_KEYS = {
-    "bounds": _COMMON_KEYS | {"channel", "power", "kappa", "lambda1", "lambda2", "n_grid"},
-    "di-sim": _COMMON_KEYS
-    | {
-        "channel",
-        "power",
-        "n",
-        "lambda1",
-        "lambda2",
-        "trials",
-        "max_codewords",
-        "levels",
-        "separation_scale",
-        "calibration_trials",
-        "calibration_target",
-    },
-    "dif-sim": _COMMON_KEYS
-    | {
-        "channel",
-        "power",
-        "n",
-        "eps",
-        "lambda2",
-        "hash_range",
-        "num_messages",
-        "pairs",
-        "trials",
-        "inner_error_trials",
-        "tail_mass",
-    },
-    "measures-check": _COMMON_KEYS | {"trials", "mu_max"},
-}
-_CHANNEL_KEYS = {"memory", "hit_probs", "slot_duration", "dark_rate"}
-_POWER_KEYS = {"peak", "average"}
+# The summary.csv columns: the keys of every result row.
+CSV_COLUMNS = tuple(result_row(None, None, None, None))
 
 
 @dataclass
@@ -112,13 +74,7 @@ class ExperimentConfig:
 
     @property
     def channel(self) -> ChannelParams:
-        ch = self.data["channel"]
-        return ChannelParams(
-            memory=ch["memory"],
-            hit_probs=np.asarray(ch["hit_probs"], dtype=float),
-            slot_duration=ch.get("slot_duration", 1.0),
-            dark_rate=ch.get("dark_rate", 0.0),
-        )
+        return serialize.channel_from_dict(self.data["channel"])
 
     @property
     def power(self) -> PowerConstraints:
@@ -137,154 +93,221 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
-def _check_channel(raw, violations: list[str]) -> None:
-    if not isinstance(raw, dict):
-        violations.append("channel: must be an object")
-        return
-    unknown = set(raw) - _CHANNEL_KEYS
-    if unknown:
-        violations.append(f"channel: unknown fields {sorted(unknown)}")
-    for key in ("memory", "hit_probs"):
-        if key not in raw:
-            violations.append(f"channel.{key}: required")
-    if all(k in raw for k in ("memory", "hit_probs")):
-        try:
-            ChannelParams(
-                memory=raw["memory"],
-                hit_probs=np.asarray(raw["hit_probs"], dtype=float),
-                slot_duration=raw.get("slot_duration", 1.0),
-                dark_rate=raw.get("dark_rate", 0.0),
-            )
-        except (TypeError, ValueError) as exc:
-            violations.append(f"channel: {exc}")
+# Each kind's config is one field table, name -> (check, default).  A check
+# maps a value to its problems (an empty list when the value is fine).  The
+# default is _REQUIRED, None (an absent field stays absent), a constant, or a
+# function of the fields before it.  Values are stored as given, never
+# coerced, so the config digest is a function of the given values alone.
+_REQUIRED = object()
 
 
-def _check_power(raw, violations: list[str]) -> None:
-    if not isinstance(raw, dict):
-        violations.append("power: must be an object")
-        return
-    unknown = set(raw) - _POWER_KEYS
-    if unknown:
-        violations.append(f"power: unknown fields {sorted(unknown)}")
-    missing = _POWER_KEYS - set(raw)
-    if missing:
-        violations.append(f"power: missing fields {sorted(missing)}")
-        return
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """An int or float, not a bool, not NaN, within the float range."""
     try:
-        PowerConstraints(**raw)
-    except (TypeError, ValueError) as exc:
-        violations.append(f"power: {exc}")
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check(test, what):
+    """Check that ``test(value)`` holds; otherwise the value must be ``what``."""
+    return lambda v: [] if test(v) else [f"must be {what}, got {v!r}"]
+
+
+def _integer(low, bits=63):
+    """An integer in [low, 2**bits); sizes and counts fit numpy's int64."""
+    return _check(lambda v: _is_int(v) and low <= v < 2**bits,
+                  f"an integer in [{low}, 2**{bits})")
+
+
+def _number(test, what):
+    return _check(lambda v: _is_number(v) and test(v), f"a number {what}")
+
+
+def _list(test, what):
+    return _check(lambda v: isinstance(v, list) and len(v) > 0 and all(test(x) for x in v),
+                  f"a nonempty list of {what}")
+
+
+def _object(table, build=None):
+    """Check a nested object against its field table, then report the
+    ValueError ``build`` raises on fields that do not fit together."""
+    def check(value):
+        if not isinstance(value, dict):
+            return ["must be an object"]
+        problems = _problems(table, value)
+        if not problems and build is not None:
+            try:
+                build(value)
+            except ValueError as exc:
+                problems.append(str(exc))
+        return problems
+    return check
+
+
+def _problems(table: dict, value: dict) -> list[str]:
+    """Unknown, missing and malformed fields of one object."""
+    unknown = sorted(set(value) - set(table), key=str)
+    problems = [f"unknown fields {unknown}"] if unknown else []
+    for name, (check, default) in table.items():
+        if name in value:
+            problems += [f"{name}: {problem}" for problem in check(value[name])]
+        elif default is _REQUIRED:
+            problems.append(f"{name}: required")
+    return problems
+
+
+# Poisson laws are summed over their support, about mean + 7*sqrt(mean)
+# points, so no mean may exceed this.
+_MAX_MEAN = 1e6
+_POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
+_BUDGET = _number(lambda v: 0 <= v < 1, "in [0, 1)")
+
+_CHANNEL = {
+    "memory": (_integer(0), _REQUIRED),
+    "hit_probs": (_list(lambda p: _is_number(p) and 0 <= p <= 1, "numbers in [0, 1]"), _REQUIRED),
+    "slot_duration": (_POSITIVE, None),
+    "dark_rate": (_number(lambda v: 0 <= v < math.inf, "in [0, inf)"), None),
+}
+_POWER = {"peak": (_POSITIVE, _REQUIRED), "average": (_POSITIVE, _REQUIRED)}
+
+_COMMON = {
+    "kind": (lambda v: [], _REQUIRED),  # selects the table
+    "master_seed": (_check(lambda v: _is_int(v) and -2**127 <= v < 2**127,
+                           "a signed 128-bit integer"), 0),
+    "out_dir": (_check(lambda v: isinstance(v, str), "a string"), None),
+}
+_LINK = {
+    "channel": (_object(_CHANNEL, build=serialize.channel_from_dict), _REQUIRED),
+    "power": (_object(_POWER), _REQUIRED),
+}
+
+
+def _means_fit(d) -> bool:
+    params = ExperimentConfig(d).channel
+    return params.dark_rate + d["power"]["peak"] * params.slot_duration <= _MAX_MEAN
+
+
+def _converse_fits(d) -> bool:
+    """The packing radius lies inside the power ball at every n of n_grid
+    (once the budgets are valid; the budget rule reports them otherwise)."""
+    if "n_grid" not in d or not 0 < d["lambda1"] + d["lambda2"] < 1:
+        return True
+    config = ExperimentConfig(d)
+    radius = min_distance_radius(d["lambda1"], d["lambda2"])
+    return all(radius <= power_ball_radius(n, config.channel, config.power,
+                                           memory_scaling(n, d["kappa"]), radius).ball_radius
+               for n in d["n_grid"])
+
+
+def _dif_power_fits(d) -> bool:
+    """build_dif_code's average-power check for the heaviest inner codeword."""
+    n, power = d["n"], d["power"]
+    blocks = math.ceil(n / (d["channel"]["memory"] + 1))
+    worst = (blocks + inner_pulse_bound(n, d["hash_range"])) * power["peak"]
+    return worst <= (n + math.ceil(math.sqrt(n))) * power["average"] + 1e-9
+
+
+_BUDGET_SUM = (lambda d: 0 < d["lambda1"] + d["lambda2"] < 1,
+               "lambda1+lambda2 must lie in (0, 1), got {lambda1} + {lambda2}")
+_MEANS = (_means_fit, "power: channel.dark_rate + peak * channel.slot_duration must be"
+                      f" at most {_MAX_MEAN:g}")
+
+# kind -> (field table, cross-field rules).  A rule is (test, message); the
+# message is formatted with the effective config.  Rules see only configs
+# whose fields all passed their checks, with every default filled in.
+_SCHEMAS = {
+    "bounds": ({
+        **_COMMON, **_LINK,
+        "kappa": (_BUDGET, _REQUIRED),
+        "lambda1": (_BUDGET, 0.1),
+        "lambda2": (_BUDGET, 0.1),
+        "n_grid": (_list(lambda n: _is_int(n) and 2 <= n < 2**63, "integers in [2, 2**63)"), None),
+    }, [
+        _BUDGET_SUM, _MEANS,
+        (_converse_fits, "n_grid: the packing radius exceeds the power-ball radius at some n"),
+    ]),
+    "di-sim": ({
+        **_COMMON, **_LINK,
+        "n": (_integer(1), _REQUIRED),
+        "trials": (_integer(1), _REQUIRED),
+        "lambda1": (_BUDGET, 0.1),
+        "lambda2": (_BUDGET, 0.1),
+        "max_codewords": (_integer(1), 16),
+        "levels": (_list(_is_number, "numbers"), None),
+        "separation_scale": (_number(lambda v: 1 <= v < math.inf, ">= 1"), 1.0),
+        "calibration_trials": (_integer(1000), lambda d: max(1000, d["trials"])),
+        "calibration_target": (_BUDGET, lambda d: d["lambda1"]),
+    }, [
+        _BUDGET_SUM, _MEANS,
+        (lambda d: all(0 <= v <= d["power"]["peak"] for v in d.get("levels", ())),
+         "levels: every value must lie in [0, power.peak={power[peak]}]"),
+    ]),
+    "dif-sim": ({
+        **_COMMON, **_LINK,
+        "n": (_integer(1), _REQUIRED),
+        "trials": (_integer(1), _REQUIRED),
+        "eps": (_number(lambda v: v > 0, "in (0, inf]"), 0.2),
+        "lambda2": (_number(lambda v: 0 < v < 1, "in (0, 1)"), 0.1),
+        # the next power of two of 2/lambda2: collisions spend half the Type II budget
+        "hash_range": (_integer(1), lambda d: 2 ** math.ceil(math.log2(2.0 / d["lambda2"]))),
+        "num_messages": (_integer(1, bits=128), lambda d: 2 * d["hash_range"]),
+        "pairs": (_list(lambda p: isinstance(p, list) and len(p) == 2 and p[0] != p[1]
+                        and all(_is_int(v) and 0 <= v < 2**128 for v in p),
+                        "[sent, tested] message index pairs, sent != tested"),
+                  lambda d: [[0, 1], [1, 0]]),
+        "inner_error_trials": (_integer(1), lambda d: d["trials"]),
+        "tail_mass": (_number(lambda v: 0 < v < 1, "in (0, 1)"), DEFAULT_TAIL_MASS),
+    }, [
+        _MEANS,
+        (lambda d: d["n"] > d["channel"]["memory"],
+         "n: the pilot needs a full block, n >= channel.memory + 1, got {n}"),
+        (lambda d: d["hash_range"] <= d["num_messages"],
+         "hash_range: must not exceed num_messages={num_messages}, got {hash_range}"),
+        # hash_range <= 2**ceil(sqrt(n)), the count of inner codewords, unbuilt
+        (lambda d: (d["hash_range"] - 1).bit_length() <= math.ceil(math.sqrt(d["n"])),
+         "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
+        (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
+         "pairs: a message index lies outside [0, {num_messages})"),
+        (_dif_power_fits,
+         "power: average too small for the pilot plus the heaviest inner codeword"),
+    ]),
+    "measures-check": ({
+        **_COMMON,
+        "trials": (_integer(1), 1000),
+        "mu_max": (_number(lambda v: 0 <= v <= _MAX_MEAN, f"in [0, {_MAX_MEAN:g}]"), 50.0),
+    }, []),
+}
+KINDS = tuple(_SCHEMAS)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict, apply defaults, and return the effective
-    config.  Raises :class:`ConfigError` listing every violation found."""
-    violations: list[str] = []
+    config.  Raises :class:`ConfigError` listing every violation found:
+    first every malformed field, then, once all fields are well formed,
+    every broken cross-field rule."""
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    data = dict(raw)
-
-    kind = data.get("kind")
+    kind = raw.get("kind")
     if kind not in KINDS:
-        violations.append(f"kind: must be one of {list(KINDS)}, got {kind!r}")
+        raise ConfigError([f"kind: must be one of {list(KINDS)}, got {kind!r}"])
+    fields, rules = _SCHEMAS[kind]
+    violations = _problems(fields, raw)
+    if violations:
         raise ConfigError(violations)
-
-    unknown = set(data) - _KIND_KEYS[kind]
-    if unknown:
-        violations.append(f"unknown fields for kind {kind}: {sorted(unknown)}")
-
-    data.setdefault("master_seed", 0)
-    if not isinstance(data["master_seed"], int):
-        violations.append("master_seed: must be an integer")
-
-    if kind in ("bounds", "di-sim", "dif-sim"):
-        if "channel" not in data:
-            violations.append("channel: required")
-        else:
-            _check_channel(data["channel"], violations)
-        if "power" not in data:
-            violations.append("power: required")
-        else:
-            _check_power(data["power"], violations)
-
-    if kind == "bounds":
-        kappa = data.get("kappa")
-        if kappa is None:
-            violations.append("kappa: required")
-        elif not 0 <= kappa < 1:
-            violations.append(f"kappa: must lie in [0, 1), got {kappa}")
-        data.setdefault("lambda1", 0.1)
-        data.setdefault("lambda2", 0.1)
-        if "n_grid" in data:
-            grid = data["n_grid"]
-            if not (isinstance(grid, list) and grid
-                    and all(isinstance(v, int) and v >= 2 for v in grid)):
-                violations.append("n_grid: must be a nonempty list of integers >= 2")
-
-    if kind in ("di-sim", "dif-sim"):
-        n = data.get("n")
-        if not (isinstance(n, int) and n >= 1):
-            violations.append(f"n: required positive integer, got {n!r}")
-        trials = data.get("trials")
-        if not (isinstance(trials, int) and trials >= 1):
-            violations.append(f"trials: required integer >= 1, got {trials!r}")
-
-    if kind == "di-sim":
-        data.setdefault("lambda1", 0.1)
-        data.setdefault("lambda2", 0.1)
-        total = data["lambda1"] + data["lambda2"]
-        if not 0 < total < 1:
-            violations.append(f"lambda1+lambda2 must lie in (0, 1), got {total}")
-        data.setdefault("max_codewords", 16)
-        scale = data.setdefault("separation_scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale >= 1:
-            violations.append(f"separation_scale: must be a number >= 1, got {scale!r}")
-        if isinstance(data.get("trials"), int):
-            data.setdefault("calibration_trials", max(1000, data["trials"]))
-        data.setdefault("calibration_target", data["lambda1"])
-
-    if kind == "dif-sim":
-        data.setdefault("lambda2", 0.1)
-        data.setdefault("eps", 0.2)
-        if data["eps"] <= 0:
-            violations.append(f"eps: must be positive, got {data['eps']}")
-        if "hash_range" in data and not (
-            isinstance(data["hash_range"], int) and data["hash_range"] >= 1
-        ):
-            violations.append("hash_range: must be a positive integer")
-        data.setdefault(
-            "hash_range",
-            2 ** math.ceil(math.log2(2.0 / data["lambda2"])) if 0 < data["lambda2"] < 1 else 16,
-        )
-        data.setdefault("num_messages", 2 * data["hash_range"])
-        data.setdefault("pairs", [[0, 1], [1, 0]])
-        pairs = data["pairs"]
-        if not (
-            isinstance(pairs, list)
-            and pairs
-            and all(
-                isinstance(p, list) and len(p) == 2 and p[0] != p[1]
-                and all(isinstance(v, int) and v >= 0 for v in p)
-                for p in pairs
-            )
-        ):
-            violations.append("pairs: must be a list of [sent, tested] index pairs, sent != tested")
-        else:
-            top = max(max(p) for p in pairs)
-            if top >= data["num_messages"]:
-                violations.append(
-                    f"pairs: message index {top} outside [0, {data['num_messages']})"
-                )
-        if isinstance(data.get("trials"), int):
-            data.setdefault("inner_error_trials", data["trials"])
-        data.setdefault("tail_mass", 1e-12)
-
-    if kind == "measures-check":
-        data.setdefault("trials", 1000)
-        data.setdefault("mu_max", 50.0)
-        if not (isinstance(data["trials"], int) and data["trials"] >= 1):
-            violations.append("trials: must be a positive integer")
-
+    data = dict(raw)
+    for name, (_, default) in fields.items():
+        if name in data or default is None or default is _REQUIRED:
+            continue
+        try:
+            data[name] = default(data) if callable(default) else default
+        except ArithmeticError:  # e.g. 2/lambda2 overflows
+            raise ConfigError([f"{name}: cannot be derived from the other fields"]) from None
+    violations = [message.format(**data) for test, message in rules if not test(data)]
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(data)
@@ -310,29 +333,6 @@ class RunOutput:
         return self.config.digest()
 
 
-def _value_row(digest: str, metric: str, value: float, seed: int, trials=None,
-               i=None, j=None, ci=(None, None)) -> dict:
-    return {
-        "config_digest": digest,
-        "metric": metric,
-        "message_i": i,
-        "message_j": j,
-        "estimate": value,
-        "ci_low": ci[0],
-        "ci_high": ci[1],
-        "trials": trials,
-        "seed": seed,
-    }
-
-
-def _sim_rows(result, digest: str) -> list[dict]:
-    rows = []
-    for row in result.rows():
-        row = {"config_digest": digest, **row}
-        rows.append(row)
-    return rows
-
-
 def _run_bounds(config: ExperimentConfig) -> RunOutput:
     data = config.data
     params = config.channel
@@ -341,11 +341,11 @@ def _run_bounds(config: ExperimentConfig) -> RunOutput:
     digest = config.digest()
     seed = config.master_seed
     rows = [
-        _value_row(digest, "kappa", report.kappa, seed),
-        _value_row(digest, "di_lower", report.di_lower, seed),
-        _value_row(digest, "di_upper", report.di_upper, seed),
-        _value_row(digest, "dif_lower_exact", report.dif_lower_exact, seed),
-        _value_row(digest, "dif_lower_asymptotic", report.dif_lower_asymptotic, seed),
+        result_row(digest, "kappa", report.kappa, seed),
+        result_row(digest, "di_lower", report.di_lower, seed),
+        result_row(digest, "di_upper", report.di_upper, seed),
+        result_row(digest, "dif_lower_exact", report.dif_lower_exact, seed),
+        result_row(digest, "dif_lower_asymptotic", report.dif_lower_asymptotic, seed),
     ]
     tables = {}
     if "n_grid" in data:
@@ -390,7 +390,7 @@ def _run_di_sim(config: ExperimentConfig) -> RunOutput:
     return RunOutput(
         kind="di-sim",
         config=config,
-        rows=_sim_rows(result, result.config_digest),
+        rows=result.rows(),
         payload={"result": result, "codebook": book},
     )
 
@@ -417,9 +417,9 @@ def _run_dif_sim(config: ExperimentConfig) -> RunOutput:
     result.extras["inner_error"] = inner.estimate
     result.extras["inner_error_ci"] = [inner.ci_low, inner.ci_high]
     result.extras["hash_range"] = code.hashes.hash_range
-    rows = _sim_rows(result, result.config_digest)
+    rows = result.rows()
     rows.append(
-        _value_row(result.config_digest, "inner_error", inner.estimate,
+        result_row(result.config_digest, "inner_error", inner.estimate,
                    config.master_seed, trials=inner.trials, ci=(inner.ci_low, inner.ci_high))
     )
     return RunOutput(
@@ -456,10 +456,10 @@ def _run_measures_check(config: ExperimentConfig) -> RunOutput:
     digest = config.digest()
     seed = config.master_seed
     rows = [
-        _value_row(digest, "bhattacharyya_closed_form_gap", closed_gap, seed, trials=count),
-        _value_row(digest, "sandwich_violation", sandwich_violation, seed, trials=count),
-        _value_row(digest, "entropy_approx_gap_mu10", gap10, seed),
-        _value_row(digest, "entropy_approx_gap_mu100", gap100, seed),
+        result_row(digest, "bhattacharyya_closed_form_gap", closed_gap, seed, trials=count),
+        result_row(digest, "sandwich_violation", sandwich_violation, seed, trials=count),
+        result_row(digest, "entropy_approx_gap_mu10", gap10, seed),
+        result_row(digest, "entropy_approx_gap_mu100", gap100, seed),
     ]
     return RunOutput(kind="measures-check", config=config, rows=rows)
 

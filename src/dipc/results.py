@@ -75,23 +75,24 @@ class SimResult:
 
     def rows(self) -> list[dict]:
         """Flatten to one record per estimate, in a fixed deterministic order."""
-        out = []
-        for i in sorted(self.type1):
-            est = self.type1[i]
-            out.append(self._row("type1", i, None, est))
-        for i, j in sorted(self.type2):
-            est = self.type2[(i, j)]
-            out.append(self._row("type2", i, j, est))
-        return out
+        estimates = [("type1", i, None, est) for i, est in sorted(self.type1.items())]
+        estimates += [("type2", i, j, est) for (i, j), est in sorted(self.type2.items())]
+        return [result_row(self.config_digest, metric, est.estimate, self.seed, est.trials,
+                           i, j, (est.ci_low, est.ci_high))
+                for metric, i, j, est in estimates]
 
-    def _row(self, metric: str, i, j, est: ErrorEstimate) -> dict:
-        return {
-            "metric": metric,
-            "message_i": i,
-            "message_j": j,
-            "estimate": est.estimate,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "trials": est.trials,
-            "seed": self.seed,
-        }
+
+def result_row(digest, metric: str, estimate: float, seed: int, trials=None,
+               i=None, j=None, ci=(None, None)) -> dict:
+    """One flat result record, keyed by the summary.csv columns."""
+    return {
+        "config_digest": digest,
+        "metric": metric,
+        "message_i": i,
+        "message_j": j,
+        "estimate": estimate,
+        "ci_low": ci[0],
+        "ci_high": ci[1],
+        "trials": trials,
+        "seed": seed,
+    }

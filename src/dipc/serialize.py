@@ -29,11 +29,13 @@ def channel_to_dict(params: ChannelParams) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelParams:
+    """The channel of a JSON object; slot_duration and dark_rate default to
+    1.0 and 0.0.  Raises ValueError on inconsistent fields."""
     return ChannelParams(
         memory=data["memory"],
         hit_probs=np.asarray(data["hit_probs"], dtype=float),
-        slot_duration=data["slot_duration"],
-        dark_rate=data["dark_rate"],
+        slot_duration=data.get("slot_duration", 1.0),
+        dark_rate=data.get("dark_rate", 0.0),
     )
 
 

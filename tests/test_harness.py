@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dipc import decode_identify, dif_encode
 from dipc.cli import main as cli_main
@@ -43,6 +46,23 @@ def di_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def dif_config(**extra):
+    cfg = {
+        "kind": "dif-sim",
+        "channel": dict(CHANNEL),
+        "power": dict(POWER),
+        "n": 30,
+        "trials": 60,
+        "hash_range": 4,
+        "num_messages": 8,
+        "inner_error_trials": 50,
+        "master_seed": 2,
+    }
+    cfg.update(extra)
+    return cfg
+
 
 
 class TestWilson:
@@ -360,3 +380,167 @@ class TestLoadConfig:
         assert config.kind == "bounds"
         assert config.channel.memory == 2
         assert config.power.peak == 5.0
+
+
+# Malformed configs, one fault each: strings or bools where numbers belong,
+# out-of-range values and broken cross-field rules.
+MALFORMED = {
+    "lambda1-string": di_config(lambda1="0.1"),
+    "lambda2-string": di_config(lambda2="a"),
+    "eps-string": dif_config(eps="x"),
+    "kappa-string": bounds_config(kappa="0.5"),
+    "memory-float": di_config(channel={**CHANNEL, "memory": 2.0}),
+    "n-bool": di_config(n=True),
+    "trials-bool": di_config(trials=True),
+    "calibration-trials-too-few": di_config(calibration_trials=10),
+    "levels-outside-peak": di_config(levels=[-1, 20]),
+    "levels-string": di_config(levels="ab"),
+    "max-codewords-zero": di_config(max_codewords=0),
+    "max-codewords-string": di_config(max_codewords="4"),
+    "hash-range-above-messages": dif_config(hash_range=16, num_messages=8),
+    "tail-mass-above-one": dif_config(tail_mass=2),
+    "inner-error-trials-zero": dif_config(inner_error_trials=0),
+    "mu-max-negative": {"kind": "measures-check", "mu_max": -1},
+    "master-seed-bool": di_config(master_seed=True),
+    "calibration-target-above-one": di_config(calibration_target=5),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_config_is_a_config_error(self, name):
+        with pytest.raises(ConfigError):
+            validate_config(MALFORMED[name])
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_config_cli_record(self, name, tmp_path, capsys):
+        cfg = MALFORMED[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli_main([cfg["kind"], "--config", str(path), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert record["violations"]
+        assert not out.exists()
+
+    # sha256 of canonical_bytes() with every default filled in.  A changed
+    # default or a coerced value changes it, and with it every config_digest.
+    PINNED = {
+        "bounds": (bounds_config(),
+                   "d99253ee145396001ce01d1321376a168cf6542369b0baae89de78c3fb65abd6"),
+        "di-sim": ({"kind": "di-sim", "channel": dict(CHANNEL),
+                    "power": {"peak": 10, "average": 10}, "n": 12, "trials": 300},
+                   "395854cec69e4a99c96c7f73f2a491f8a12334aa7ed12e054e7c517190505c89"),
+        "dif-sim": ({"kind": "dif-sim", "channel": dict(CHANNEL), "power": dict(POWER),
+                     "n": 30, "trials": 60},
+                    "b2c4795c0c3827a8724772a66f5c9b51509ec34aa23f18cacbcdecdc1861931e"),
+        "measures-check": ({"kind": "measures-check"},
+                           "847aa7c12c45f660f9489b1e1ac3378dcf8d0574b9857e5646a455dfb0fb6f0b"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_default_filled_digest_pinned(self, kind):
+        raw, digest = self.PINNED[kind]
+        assert hashlib.sha256(validate_config(raw).canonical_bytes()).hexdigest() == digest
+
+    def test_values_are_not_coerced(self):
+        raw = {"kind": "di-sim", "channel": dict(CHANNEL),
+               "power": {"peak": 10, "average": 10}, "n": 12, "trials": 300}
+        data = validate_config(raw).data
+        assert data["power"] == {"peak": 10, "average": 10}
+        assert type(data["power"]["peak"]) is int
+        assert "slot_duration" not in validate_config(
+            bounds_config(channel={"memory": 0, "hit_probs": [1.0]})).data["channel"]
+
+    @pytest.mark.parametrize("cfg", [
+        dif_config(n=2),                     # no full pilot block
+        dif_config(n=3, hash_range=8),       # only 2**2 inner codewords
+        dif_config(power={"peak": 5.0, "average": 0.5}),
+        bounds_config(n_grid=[2], power={"peak": 0.001, "average": 0.001},
+                      channel={**CHANNEL, "dark_rate": 0.0}),
+    ])
+    def test_cross_field_rules(self, cfg):
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+
+
+# Small valid configs per kind and the fields each kind's table knows.
+SMALL = {
+    "bounds": bounds_config(n_grid=[4, 16]),
+    "di-sim": di_config(n=6, trials=20, levels=[0.0, 5.0, 10.0]),
+    "dif-sim": dif_config(n=12, trials=10, inner_error_trials=10, pairs=[[0, 1]]),
+    "measures-check": {"kind": "measures-check", "trials": 5, "mu_max": 5.0},
+}
+COMMON_FIELDS = ["kind", "master_seed", "out_dir"]
+LINK_FIELDS = ["channel", "power"] + [f"channel.{k}" for k in CHANNEL] + \
+    ["power.peak", "power.average"]
+FIELDS = {
+    "bounds": COMMON_FIELDS + LINK_FIELDS + ["kappa", "lambda1", "lambda2", "n_grid"],
+    "di-sim": COMMON_FIELDS + LINK_FIELDS + [
+        "n", "trials", "lambda1", "lambda2", "max_codewords", "levels", "separation_scale",
+        "calibration_trials", "calibration_target"],
+    "dif-sim": COMMON_FIELDS + LINK_FIELDS + [
+        "n", "trials", "eps", "lambda2", "hash_range", "num_messages", "pairs",
+        "inner_error_trials", "tail_mass"],
+    "measures-check": COMMON_FIELDS + ["trials", "mu_max"],
+}
+# Values a field may take: plausible ones, so that mutated configs often pass
+# and run, and malformed ones.  Sizes stay at most 20 so that a run is quick.
+PLAUSIBLE = [0, 1, 2, 3, 4, 7, 12, 20, 0.0, 0.05, 0.3, 0.5, 1.0, 2.5, 5.0, 10.0,
+             [0.0, 5.0], [1.0], [0.5, 0.5], [4, 16], [[1, 0]], [[1, 2], [2, 1]], dict(POWER)]
+MALFORMED_VALUES = [None, True, False, -1, -0.5, 0.99, 1e300, 10**400, math.nan, math.inf,
+                    "x", "3", "bounds", [], [0, 1], [-1, 20], [[0, 0]], {}]
+VALUES = PLAUSIBLE + MALFORMED_VALUES
+DELETE = object()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+
+
+def _mutate(cfg, path, value):
+    target = cfg
+    *parents, name = path.split(".")
+    for part in parents:
+        if not isinstance(target.get(part), dict):
+            return
+        target = target[part]
+    if value is DELETE:
+        target.pop(name, None)
+    else:
+        target[name] = value
+
+
+class TestSchemaProperties:
+    SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+    @SETTINGS
+    @given(raw=json_values | st.dictionaries(
+        st.sampled_from(sorted({f for fs in FIELDS.values() for f in fs if "." not in f}))
+        | st.text(max_size=5),
+        json_values | st.sampled_from(VALUES + list(SMALL)), max_size=8))
+    def test_arbitrary_json_is_accepted_or_a_config_error(self, raw):
+        try:
+            validate_config(raw)
+        except ConfigError:
+            pass
+
+    @SETTINGS
+    @given(kind=st.sampled_from(sorted(SMALL)), data=st.data())
+    def test_mutated_config_is_rejected_or_runs(self, kind, data):
+        cfg = json.loads(json.dumps(SMALL[kind]))
+        mutations = data.draw(st.lists(st.tuples(
+            st.sampled_from(FIELDS[kind] + ["surprise"]),
+            st.sampled_from(3 * PLAUSIBLE + [DELETE] + MALFORMED_VALUES)), min_size=1, max_size=2))
+        for path, value in mutations:
+            _mutate(cfg, path, value)
+        try:
+            config = validate_config(cfg)
+        except ConfigError:
+            return
+        run(config)
