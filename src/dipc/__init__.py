@@ -63,7 +63,6 @@ from .dif_protocol import (
     estimate_dif_errors,
     estimate_inner_error,
     hash_message,
-    inner_decode,
     max_messages_log_log,
     typical_log_size,
     typical_test,

@@ -77,6 +77,14 @@ def _as_codeword(x) -> np.ndarray:
     return x
 
 
+def as_counts(y) -> np.ndarray:
+    """Output counts as an integer array; integral floats are accepted."""
+    y = np.asarray(y)
+    if np.any(y < 0) or not np.all(np.equal(np.mod(y, 1), 0)):
+        raise ValueError("counts must be nonnegative integers")
+    return y.astype(np.int64)
+
+
 def effective_intensity(x, params: ChannelParams) -> np.ndarray:
     """Per-slot Poisson means for input ``x``, length ``n + memory``.
 
@@ -100,9 +108,7 @@ def log_likelihood(y, x, params: ChannelParams) -> float:
         raise ValueError(
             f"output length must be n+memory={x.size + params.memory}, got {y.size}"
         )
-    if np.any(y < 0) or not np.all(np.equal(np.mod(y, 1), 0)):
-        raise ValueError("counts must be nonnegative integers")
-    y = y.astype(float)
+    y = as_counts(y).astype(float)
     mu = effective_intensity(x, params)
     if np.any((mu == 0) & (y > 0)):
         return float("-inf")

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per experiment kind; each takes a config file plus optional
-seed/output/trials overrides.  Failures print a machine-readable JSON error
-record to stderr and exit nonzero.
+seed/output overrides, and a trials override where the kind has trials.
+Failures print a machine-readable JSON error record to stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import time
 
 from .errors import ConfigError
-from .harness import KINDS, OUT_DIR_ENV, run, validate_config, write_meta, write_outputs
+from .harness import KINDS, OUT_DIR_ENV, SCHEMAS, run, validate_config, write_meta, write_outputs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
+        if "trials" in SCHEMAS[kind][0]:
+            p.add_argument("--trials", type=int, default=None, help="override trial count")
     return parser
 
 
@@ -45,7 +47,8 @@ def main(argv=None) -> int:
         print(_error_record("config-load", message=str(exc)), file=sys.stderr)
         return 2
 
-    overrides = {"master_seed": args.seed, "out_dir": args.out, "trials": args.trials}
+    overrides = {"master_seed": args.seed, "out_dir": args.out,
+                 "trials": getattr(args, "trials", None)}
     try:
         if not isinstance(raw, dict):
             raise ConfigError(["config must be a JSON object"])

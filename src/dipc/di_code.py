@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelParams, PowerConstraints, effective_intensity, validate_power
-from .errors import CalibrationError, ConstructionError
+from .errors import ConstructionError
 from .measures import min_distance_radius
 from .results import ErrorEstimate, SimResult
 from .seeding import spawn
@@ -281,8 +281,7 @@ def decode_identify(y, index: int, book: DICodebook) -> bool:
     n = book.block_length
     if y.ndim != 1 or y.size != n + book.params.memory:
         raise ValueError(f"output length must be {n + book.params.memory}, got {y.size}")
-    stat = float(np.abs(y[:n] - book.intensities[index, :n]).mean())
-    return stat <= book.threshold
+    return bool(_statistics(y[None, :], book.intensities[index], n)[0] <= book.threshold)
 
 
 def calibrate_threshold(
@@ -290,16 +289,15 @@ def calibrate_threshold(
     trials: int,
     seed: int,
     target: float | None = None,
-    grid=None,
 ) -> float:
     """Pick the smallest threshold whose empirical Type I error meets the target.
 
-    Samples ``trials`` outputs per codeword, then takes the smallest value
-    (from ``grid`` if given, otherwise from the observed statistics) at which
-    every per-message rejection rate is at most ``target`` (default: the
-    codebook's Type I budget).  Calibrating to a fraction of the budget
-    leaves headroom for an independent verification run to confirm the
-    budget with confidence.  Sets ``book.threshold`` and returns it.
+    Samples ``trials`` outputs per codeword, then takes the smallest observed
+    statistic at which every per-message rejection rate is at most ``target``
+    (default: the codebook's Type I budget).  Calibrating to a fraction of
+    the budget leaves headroom for an independent verification run to
+    confirm the budget with confidence.  Sets ``book.threshold`` and returns
+    it.
     """
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
@@ -315,17 +313,8 @@ def calibrate_threshold(
         outputs = rng.poisson(book.intensities[i], size=(trials, n + book.params.memory))
         stats[i] = _statistics(outputs, book.intensities[i], n)
 
-    if grid is not None:
-        for theta in sorted(grid):
-            if all((stats[i] > theta).mean() <= target for i in range(book.num_codewords)):
-                book.threshold = float(theta)
-                return book.threshold
-        raise CalibrationError(
-            f"no threshold on the supplied grid meets Type I target {target}"
-        )
-
-    # Data-driven grid: per message the smallest observed value leaving at
-    # most floor(target * trials) samples above it, then the max over messages.
+    # Per message the smallest observed value leaving at most
+    # floor(target * trials) samples above it, then the max over messages.
     allowed = int(math.floor(target * trials))
     order = np.sort(stats, axis=1)
     idx = max(0, trials - allowed - 1)

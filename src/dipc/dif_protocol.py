@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelParams, PowerConstraints, effective_intensity
+from .channel import ChannelParams, PowerConstraints, as_counts, effective_intensity
 from .errors import ConstructionError
 from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult
@@ -96,20 +96,16 @@ class TypicalSetSpec:
     eps: float
     letter_laws: np.ndarray
     tail_mass: float
-    block_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "letter_laws", np.asarray(self.letter_laws, dtype=float))
         if self.eps <= 0:
             raise ValueError("typicality slack must be positive")
-        if self.block_count < 1:
-            raise ValueError("block count must be positive")
 
     @classmethod
     def from_channel(cls, params: ChannelParams, peak: float, eps: float,
-                     block_count: int, tail_mass: float = DEFAULT_TAIL_MASS):
-        return cls(eps=eps, letter_laws=letter_laws(params, peak),
-                   tail_mass=tail_mass, block_count=block_count)
+                     tail_mass: float = DEFAULT_TAIL_MASS):
+        return cls(eps=eps, letter_laws=letter_laws(params, peak), tail_mass=tail_mass)
 
     @cached_property
     def _tables(self):
@@ -205,22 +201,14 @@ class InnerCode:
     patterns decoded by exact maximum likelihood over the full ISI window."""
 
     length: int
-    amplitude: float
     codewords: np.ndarray
-    params: ChannelParams
 
     @property
     def size(self) -> int:
         return self.codewords.shape[0]
 
-    @cached_property
-    def window_intensities(self) -> np.ndarray:
-        """Standalone decode intensities, shape (M, length + memory)."""
-        return np.stack([effective_intensity(c, self.params) for c in self.codewords])
 
-
-def build_inner_code(n: int, hash_range: int, params: ChannelParams,
-                     peak: float, seed: int) -> InnerCode:
+def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> InnerCode:
     """Draw ``hash_range`` distinct balanced on-off codewords of length
     ceil(sqrt(n)); falls back to unbalanced patterns if the balanced pool is
     too small."""
@@ -252,7 +240,7 @@ def build_inner_code(n: int, hash_range: int, params: ChannelParams,
         seen.add(key)
         patterns.append(bits)
     codewords = np.stack(patterns).astype(float) * peak
-    return InnerCode(length=length, amplitude=peak, codewords=codewords, params=params)
+    return InnerCode(length=length, codewords=codewords)
 
 
 def inner_pulse_bound(n: int, hash_range: int) -> int:
@@ -264,6 +252,14 @@ def inner_pulse_bound(n: int, hash_range: int) -> int:
     return length // 2 if balanced else length
 
 
+def dif_power_fits(n: int, memory: int, hash_range: int, peak: float,
+                   constraints: PowerConstraints) -> bool:
+    """Whether the average budget of the n + ceil(sqrt(n)) input slots covers
+    the pilot plus the heaviest inner codeword :func:`inner_pulse_bound` allows."""
+    worst = (math.ceil(n / (memory + 1)) + inner_pulse_bound(n, hash_range)) * peak
+    return worst <= (n + math.ceil(math.sqrt(n))) * constraints.average + 1e-9
+
+
 def _ml_decode(y_window: np.ndarray, intensities: np.ndarray) -> int:
     """Most likely codeword row index (0-based) for one output window."""
     y = np.asarray(y_window, dtype=float)
@@ -273,18 +269,6 @@ def _ml_decode(y_window: np.ndarray, intensities: np.ndarray) -> int:
     terms = np.multiply(y, log_mu, out=np.zeros(log_mu.shape), where=y > 0)
     scores = terms.sum(axis=1) - intensities.sum(axis=1)
     return int(np.argmax(scores))
-
-
-def inner_decode(code: InnerCode, y_window, base_intensity=None) -> int:
-    """ML-decode an output window to a hash value in [1, size].
-
-    ``base_intensity`` adds known interference (e.g. a pilot tail) on top of
-    each codeword's own intensity; the dark rate is already included once.
-    """
-    mu = code.window_intensities
-    if base_intensity is not None:
-        mu = mu + np.asarray(base_intensity, dtype=float)
-    return _ml_decode(np.asarray(y_window), mu) + 1
 
 
 @dataclass(frozen=True)
@@ -332,8 +316,7 @@ def build_dif_code(
     params: ChannelParams,
     peak: float,
     num_messages: int,
-    hash_range: int | None = None,
-    type2_budget: float | None = None,
+    hash_range: int,
     eps: float = 0.2,
     constraints: PowerConstraints | None = None,
     seed: int = 0,
@@ -341,35 +324,22 @@ def build_dif_code(
 ) -> DIFCode:
     """Assemble the three-phase code.
 
-    When ``hash_range`` is omitted it defaults to the next power of two of
-    2/type2_budget, so hash collisions spend half the Type II budget and the
-    inner code the rest.  If ``constraints`` are given, the combined
-    pilot + worst-case inner sequence is checked against the average budget.
+    If ``constraints`` are given, the pilot amplitude is checked against the
+    peak and the pilot plus the worst-case inner codeword against the
+    average budget (:func:`dif_power_fits`).
     """
-    if hash_range is None:
-        if type2_budget is None:
-            raise ValueError("need hash_range or type2_budget to size the hash family")
-        if not 0 < type2_budget < 1:
-            raise ValueError("type2_budget must lie in (0, 1)")
-        hash_range = 2 ** math.ceil(math.log2(2.0 / type2_budget))
-    pilot = build_pilot(n, params, peak)
-    typ = TypicalSetSpec.from_channel(params, peak, eps,
-                                      block_count=pilot.full_block_count,
-                                      tail_mass=tail_mass)
-    hashes = HashFamily(master_seed=seed, num_messages=num_messages,
-                        hash_range=hash_range)
-    inner = build_inner_code(n, hash_range, params, peak, seed)
-    code = DIFCode(pilot=pilot, typ=typ, hashes=hashes, inner=inner, params=params)
     if constraints is not None:
         if peak > constraints.peak:
             raise ValueError("pilot amplitude exceeds the peak constraint")
-        worst = pilot.block_count * peak + float(code.inner.codewords.sum(axis=1).max())
-        budget = code.total_input_length * constraints.average
-        if worst > budget + 1e-9:
-            raise ValueError(
-                f"combined sequence releases {worst}, above the average budget {budget}"
-            )
-    return code
+        if not dif_power_fits(n, params.memory, hash_range, peak, constraints):
+            raise ValueError("the pilot plus the heaviest inner codeword exceed the"
+                             " average budget")
+    pilot = build_pilot(n, params, peak)
+    typ = TypicalSetSpec.from_channel(params, peak, eps, tail_mass=tail_mass)
+    hashes = HashFamily(master_seed=seed, num_messages=num_messages,
+                        hash_range=hash_range)
+    inner = build_inner_code(n, hash_range, peak, seed)
+    return DIFCode(pilot=pilot, typ=typ, hashes=hashes, inner=inner, params=params)
 
 
 @dataclass(frozen=True)
@@ -386,10 +356,17 @@ class DIFTranscript:
 def _encode_with_rngs(index: int, code: DIFCode, rng_phase1, rng_phase2):
     y1 = rng_phase1.poisson(code.phase1_intensity)
     blocks = blockize(y1, code.params.memory)
-    typical = typical_test(blocks, code.typ)
     value = hash_message(index, blocks, code.hashes)
     y2 = rng_phase2.poisson(code.phase2_intensities[value - 1])
-    return np.concatenate([y1, y2]), blocks, typical, value
+    return np.concatenate([y1, y2]), blocks, value
+
+
+def _receive(y, blocks, code: DIFCode) -> int | None:
+    """The verifier's hash value for an output record: None when the pilot
+    string is atypical, else the ML decode of the phase-2 window."""
+    if not typical_test(blocks, code.typ):
+        return None
+    return _ml_decode(y[code.n :], code.phase2_intensities) + 1
 
 
 def dif_encode(index: int, code: DIFCode, seed: int):
@@ -398,24 +375,21 @@ def dif_encode(index: int, code: DIFCode, seed: int):
     and a transcript; an atypical string is recorded, not raised."""
     if not 0 <= index < code.hashes.num_messages:
         raise IndexError(f"message index {index} outside [0, {code.hashes.num_messages})")
-    y, blocks, typical, value = _encode_with_rngs(
-        index, code, spawn(seed, "phase1"), spawn(seed, "phase2")
-    )
-    return y, DIFTranscript(message=index, blocks=blocks, typical=typical,
+    y, blocks, value = _encode_with_rngs(index, code, spawn(seed, "phase1"), spawn(seed, "phase2"))
+    return y, DIFTranscript(message=index, blocks=blocks, typical=typical_test(blocks, code.typ),
                             hash_value=value, seed=seed)
 
 
 def dif_identify(index: int, y, code: DIFCode) -> bool:
     """Verifier for "was message ``index`` sent?": reject atypical strings,
-    otherwise ML-decode the phase-2 window and compare hash values."""
-    y = np.asarray(y)
+    otherwise ML-decode the phase-2 window and compare hash values.  Counts
+    must be nonnegative integers; integral floats are accepted."""
+    y = as_counts(y)
     if y.ndim != 1 or y.size != code.output_length:
         raise ValueError(f"output length must be {code.output_length}, got {y.size}")
     blocks = blockize(y[: code.n], code.params.memory)
-    if not typical_test(blocks, code.typ):
-        return False
-    decoded = _ml_decode(y[code.n :], code.phase2_intensities) + 1
-    return decoded == hash_message(index, blocks, code.hashes)
+    decoded = _receive(y, blocks, code)
+    return decoded is not None and decoded == hash_message(index, blocks, code.hashes)
 
 
 def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) -> SimResult:
@@ -442,16 +416,16 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
         rejects = 0
         accepts = {j: 0 for j in tested_by_sender[sender]}
         for t in range(trials):
-            y, blocks, typical, sent_value = _encode_with_rngs(
+            y, blocks, sent_value = _encode_with_rngs(
                 sender, code,
                 spawn(seed, "dif", sender, t, "p1"),
                 spawn(seed, "dif", sender, t, "p2"),
             )
-            if not typical:
+            decoded = _receive(y, blocks, code)
+            if decoded is None:
                 atypical_total += 1
                 rejects += 1
                 continue
-            decoded = _ml_decode(y[code.n :], code.phase2_intensities) + 1
             if decoded != sent_value:
                 rejects += 1
             for j in accepts:

@@ -5,10 +5,6 @@ class ConstructionError(RuntimeError):
     """Raised when a codebook or code could not be built under the given limits."""
 
 
-class CalibrationError(RuntimeError):
-    """Raised when no threshold on the search grid meets the error budget."""
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries every violation found."""
 

@@ -19,25 +19,12 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import serialize
 from .channel import ChannelParams, PowerConstraints
-from .di_code import (
-    ConstructionStrategy,
-    calibrate_threshold,
-    construct_codebook,
-    estimate_errors,
-    memory_scaling,
-    power_ball_radius,
-)
-from .dif_protocol import (
-    build_dif_code,
-    estimate_dif_errors,
-    estimate_inner_error,
-    inner_pulse_bound,
-)
+from .di_code import ConstructionStrategy, calibrate_threshold, construct_codebook, estimate_errors
+from .dif_protocol import build_dif_code, dif_power_fits, estimate_dif_errors, estimate_inner_error
 from .errors import ConfigError
 from .measures import (
     DEFAULT_TAIL_MASS,
     bhattacharyya,
-    min_distance_radius,
     poisson_bhattacharyya_sq,
     poisson_entropy_approx,
     poisson_entropy_exact,
@@ -164,6 +151,8 @@ def _problems(table: dict, value: dict) -> list[str]:
 # Poisson laws are summed over their support, about mean + 7*sqrt(mean)
 # points, so no mean may exceed this.
 _MAX_MEAN = 1e6
+# Most cells one array of a run may hold: 1 GiB as float64.
+_MAX_CELLS = 2**27
 _POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
 _BUDGET = _number(lambda v: 0 <= v < 1, "in [0, 1)")
 
@@ -193,23 +182,19 @@ def _means_fit(d) -> bool:
 
 
 def _converse_fits(d) -> bool:
-    """The packing radius lies inside the power ball at every n of n_grid
-    (once the budgets are valid; the budget rule reports them otherwise)."""
+    """The converse is defined (packing radius inside the power ball) at
+    every n of n_grid, once the budgets are valid; the budget rule reports
+    them otherwise."""
     if "n_grid" not in d or not 0 < d["lambda1"] + d["lambda2"] < 1:
         return True
     config = ExperimentConfig(d)
-    radius = min_distance_radius(d["lambda1"], d["lambda2"])
-    return all(radius <= power_ball_radius(n, config.channel, config.power,
-                                           memory_scaling(n, d["kappa"]), radius).ball_radius
-               for n in d["n_grid"])
-
-
-def _dif_power_fits(d) -> bool:
-    """build_dif_code's average-power check for the heaviest inner codeword."""
-    n, power = d["n"], d["power"]
-    blocks = math.ceil(n / (d["channel"]["memory"] + 1))
-    worst = (blocks + inner_pulse_bound(n, d["hash_range"])) * power["peak"]
-    return worst <= (n + math.ceil(math.sqrt(n))) * power["average"] + 1e-9
+    try:
+        for n in d["n_grid"]:
+            bounds_mod.converse_log_count(n, d["kappa"], config.channel, config.power,
+                                          d["lambda1"], d["lambda2"])
+    except ValueError:
+        return False
+    return True
 
 
 _BUDGET_SUM = (lambda d: 0 < d["lambda1"] + d["lambda2"] < 1,
@@ -220,7 +205,7 @@ _MEANS = (_means_fit, "power: channel.dark_rate + peak * channel.slot_duration m
 # kind -> (field table, cross-field rules).  A rule is (test, message); the
 # message is formatted with the effective config.  Rules see only configs
 # whose fields all passed their checks, with every default filled in.
-_SCHEMAS = {
+SCHEMAS = {
     "bounds": ({
         **_COMMON, **_LINK,
         "kappa": (_BUDGET, _REQUIRED),
@@ -246,6 +231,11 @@ _SCHEMAS = {
         _BUDGET_SUM, _MEANS,
         (lambda d: all(0 <= v <= d["power"]["peak"] for v in d.get("levels", ())),
          "levels: every value must lie in [0, power.peak={power[peak]}]"),
+        # the largest array: one codeword's calibration or estimation draws
+        (lambda d: max(d["trials"], d["calibration_trials"]) * (d["n"] + d["channel"]["memory"])
+         <= _MAX_CELLS,
+         f"trials: max(trials, calibration_trials) * (n + channel.memory) must be at most"
+         f" {_MAX_CELLS:,}"),
     ]),
     "dif-sim": ({
         **_COMMON, **_LINK,
@@ -273,8 +263,13 @@ _SCHEMAS = {
          "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
         (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
          "pairs: a message index lies outside [0, {num_messages})"),
-        (_dif_power_fits,
+        (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"],
+                                  d["power"]["peak"], ExperimentConfig(d).power),
          "power: average too small for the pilot plus the heaviest inner codeword"),
+        # the largest arrays: the phase-2 intensity table and the phase-1 pilot
+        (lambda d: d["hash_range"] * (math.ceil(math.sqrt(d["n"])) + d["channel"]["memory"])
+         <= _MAX_CELLS and d["n"] <= _MAX_CELLS,
+         f"n: hash_range * (ceil(sqrt(n)) + channel.memory) and n must be at most {_MAX_CELLS:,}"),
     ]),
     "measures-check": ({
         **_COMMON,
@@ -282,7 +277,7 @@ _SCHEMAS = {
         "mu_max": (_number(lambda v: 0 <= v <= _MAX_MEAN, f"in [0, {_MAX_MEAN:g}]"), 50.0),
     }, []),
 }
-KINDS = tuple(_SCHEMAS)
+KINDS = tuple(SCHEMAS)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -295,7 +290,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"kind: must be one of {list(KINDS)}, got {kind!r}"])
-    fields, rules = _SCHEMAS[kind]
+    fields, rules = SCHEMAS[kind]
     violations = _problems(fields, raw)
     if violations:
         raise ConfigError(violations)

@@ -16,11 +16,12 @@ from dipc import (
     memory_scaling,
     min_distance_radius,
     packing_log_count_bound,
+    poisson_bhattacharyya_sq,
     power_ball_radius,
     reparameterize,
     validate_codebook,
 )
-from dipc.di_code import CalibrationError, _ordered_pair, _statistics, di_rate_from_bits
+from dipc.di_code import _ordered_pair, _statistics, di_rate_from_bits
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -281,6 +282,18 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decode_identify(np.zeros(3), 0, book)
 
+    def test_decides_with_the_calibration_statistic(self):
+        # the threshold sits exactly on one row's statistic, so any ulp of
+        # disagreement between the two computations flips a decision
+        book = small_book(max_codewords=3)
+        n = book.block_length
+        outputs = spawn(5, "decoder").poisson(book.intensities[0], size=(200, n + FIG2.memory))
+        for j in range(book.num_codewords):
+            stats = _statistics(outputs, book.intensities[j], n)
+            book.threshold = float(np.sort(stats)[100])
+            decisions = [decode_identify(row, j, book) for row in outputs]
+            assert decisions == list(stats <= book.threshold)
+
 
 class TestCalibration:
     def test_needs_enough_trials(self):
@@ -310,11 +323,6 @@ class TestCalibration:
                        - book.intensities[0][: book.block_length]).mean(axis=1)
         q90 = np.quantile(stats, 0.9)
         assert theta == pytest.approx(q90, abs=0.05)
-
-    def test_explicit_grid_failure(self):
-        book = small_book()
-        with pytest.raises(CalibrationError):
-            calibrate_threshold(book, 1000, seed=4, target=0.01, grid=[0.0])
 
     def test_updates_book_threshold(self):
         book = small_book()
@@ -414,6 +422,29 @@ class TestErrorEstimation:
         book = small_book(max_codewords=2)
         with pytest.raises(ValueError):
             estimate_errors(book, 0, seed=1)
+
+
+class TestTwoSidedOracle:
+    """Decoder j tells codeword i from j with Type I + Type II at least
+    1 - TV >= 1 - sqrt(1 - BC^2), BC^2 the Bhattacharyya overlap of the two
+    output laws.  Upper budgets cannot catch a sampler or statistic fault
+    that makes errors look too small; this floor does."""
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_error_sum_clears_bhattacharyya_floor(self, delta):
+        a = np.array([10.0, 0.0, 5.0, 10.0, 0.0, 5.0, 10.0, 0.0])
+        b = a.copy()
+        b[1] += delta  # too close for construct_codebook, so built by hand
+        book = DICodebook(codewords=np.stack([a, b]), params=FIG2, constraints=POWER,
+                          packing_radius=0.1, type1_budget=0.1, type2_budget=0.1)
+        calibrate_threshold(book, 2000, seed=1)
+        res = estimate_errors(book, 4000, seed=2)
+        mu = book.intensities  # all n + memory slots
+        bc_sq = math.prod(poisson_bhattacharyya_sq(p, q) for p, q in zip(mu[0], mu[1]))
+        floor = 1.0 - math.sqrt(1.0 - bc_sq)
+        assert floor > 0.5
+        for (i, j), type2 in res.type2.items():
+            assert res.type1[j].ci_high + type2.ci_high >= floor
 
 
 class TestRate:

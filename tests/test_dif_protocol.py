@@ -19,16 +19,20 @@ from dipc import (
     estimate_dif_errors,
     estimate_inner_error,
     hash_message,
-    inner_decode,
     max_messages_log_log,
     poisson_entropy_exact,
     typical_log_size,
     typical_test,
 )
-from dipc.dif_protocol import TypicalSetSpec, letter_laws, _ml_decode
+from dipc.dif_protocol import TypicalSetSpec, dif_power_fits, letter_laws, _ml_decode
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
+
+
+def standalone_intensities(inner):
+    """Each inner codeword's intensity sent alone, shape (M, length + memory)."""
+    return np.stack([effective_intensity(c, FIG2) for c in inner.codewords])
 
 
 class TestPilot:
@@ -73,8 +77,8 @@ class TestBlockize:
 
 
 class TestTypicality:
-    def spec(self, block_count=300, eps=0.2):
-        return TypicalSetSpec.from_channel(FIG2, 5.0, eps=eps, block_count=block_count)
+    def spec(self, eps=0.2):
+        return TypicalSetSpec.from_channel(FIG2, 5.0, eps=eps)
 
     def test_true_law_samples_are_members(self):
         spec = self.spec()
@@ -86,7 +90,7 @@ class TestTypicality:
         assert hits / 200 >= 0.98
 
     def test_acceptance_high_at_500_blocks(self):
-        spec = self.spec(block_count=500)
+        spec = self.spec()
         rng = np.random.default_rng(1)
         hits = sum(
             typical_test(rng.poisson(spec.letter_laws, size=(500, 3)), spec)
@@ -116,14 +120,14 @@ class TestTypicality:
 
     def test_log_size_memoryless(self):
         params = ChannelParams(memory=0, hit_probs=[1.0])
-        spec = TypicalSetSpec.from_channel(params, 1.0, eps=0.2, block_count=100)
+        spec = TypicalSetSpec.from_channel(params, 1.0, eps=0.2)
         assert typical_log_size(100, spec) == pytest.approx(
             100 * poisson_entropy_exact(1.0)
         )
 
     def test_log_size_with_memory(self):
         params = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], dark_rate=0.0)
-        spec = TypicalSetSpec.from_channel(params, 10.0, eps=0.2, block_count=34)
+        spec = TypicalSetSpec.from_channel(params, 10.0, eps=0.2)
         expected = math.ceil(100 / 3) * (
             poisson_entropy_exact(6.0)
             + poisson_entropy_exact(3.0)
@@ -133,8 +137,7 @@ class TestTypicality:
 
     def test_degenerate_silent_channel_has_zero_size(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.0)
-        spec = TypicalSetSpec(eps=0.2, letter_laws=np.array([0.0]),
-                              tail_mass=1e-12, block_count=10)
+        spec = TypicalSetSpec(eps=0.2, letter_laws=np.array([0.0]), tail_mass=1e-12)
         assert typical_log_size(50, spec) == 0.0
 
 
@@ -181,12 +184,12 @@ class TestHashFamily:
 
 class TestInnerCode:
     def test_size_one_decodes_to_one(self):
-        code = build_inner_code(25, 1, FIG2, peak=5.0, seed=0)
+        code = build_inner_code(25, 1, peak=5.0, seed=0)
         y = np.zeros(code.length + FIG2.memory)
-        assert inner_decode(code, y) == 1
+        assert _ml_decode(y, standalone_intensities(code)) == 0
 
     def test_codewords_distinct_and_balanced(self):
-        code = build_inner_code(64, 8, FIG2, peak=5.0, seed=1)
+        code = build_inner_code(64, 8, peak=5.0, seed=1)
         assert code.length == 8
         rows = {row.tobytes() for row in code.codewords}
         assert len(rows) == 8
@@ -195,35 +198,26 @@ class TestInnerCode:
 
     def test_range_too_large(self):
         with pytest.raises(ValueError):
-            build_inner_code(4, 5, FIG2, peak=5.0, seed=0)  # length 2, max 4
+            build_inner_code(4, 5, peak=5.0, seed=0)  # length 2, max 4
 
     def test_noiseless_round_trip(self):
-        code = build_inner_code(64, 8, FIG2, peak=10.0, seed=2)
-        for value in range(1, 9):
-            y = np.round(code.window_intensities[value - 1])
-            assert inner_decode(code, y) == value
+        code = build_inner_code(64, 8, peak=10.0, seed=2)
+        mu = standalone_intensities(code)
+        for row in range(8):
+            assert _ml_decode(np.round(mu[row]), mu) == row
 
     def test_two_codewords_low_error(self):
-        code = build_inner_code(64, 2, FIG2, peak=10.0, seed=3)
+        mu = standalone_intensities(build_inner_code(64, 2, peak=10.0, seed=3))
         errors = 0
         trials = 10000
         for t in range(trials):
             rng = spawn(77, t)
-            value = int(rng.integers(2)) + 1
-            y = rng.poisson(code.window_intensities[value - 1])
-            errors += inner_decode(code, y) != value
+            row = int(rng.integers(2))
+            errors += _ml_decode(rng.poisson(mu[row]), mu) != row
         assert errors / trials < 0.01
 
 
 class TestBuildDIFCode:
-    def test_hash_range_default_from_budget(self):
-        code = build_dif_code(90, FIG2, peak=5.0, num_messages=64, type2_budget=0.1)
-        assert code.hashes.hash_range == 32  # next power of two of 2/0.1
-
-    def test_needs_range_or_budget(self):
-        with pytest.raises(ValueError):
-            build_dif_code(90, FIG2, peak=5.0, num_messages=64)
-
     def test_average_power_guard(self):
         tight = PowerConstraints(peak=5.0, average=0.5)
         with pytest.raises(ValueError):
@@ -235,13 +229,27 @@ class TestBuildDIFCode:
             build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4,
                            constraints=PowerConstraints(peak=4.0, average=4.0))
 
+    @pytest.mark.parametrize("average", [1.0, 1.7, 1.8, 5.0])
+    def test_average_power_guard_is_dif_power_fits(self, average):
+        # n=90: 30 pilot pulses plus 5 of the 10 inner slots, 35 * 5.0 <= 100 * average
+        constraints = PowerConstraints(peak=5.0, average=average)
+        fits = dif_power_fits(90, FIG2.memory, 4, 5.0, constraints)
+        assert fits == (average >= 1.75)
+        try:
+            build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4,
+                           constraints=constraints)
+        except ValueError:
+            assert not fits
+        else:
+            assert fits
+
     def test_phase2_includes_pilot_tail_only_when_truncated(self):
         aligned = build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=0)
         np.testing.assert_allclose(
-            aligned.phase2_intensities, aligned.inner.window_intensities
+            aligned.phase2_intensities, standalone_intensities(aligned.inner)
         )
         truncated = build_dif_code(91, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=0)
-        spill = truncated.phase2_intensities - truncated.inner.window_intensities
+        spill = truncated.phase2_intensities - standalone_intensities(truncated.inner)
         assert spill[:, : FIG2.memory].max() > 0
         np.testing.assert_allclose(spill[:, FIG2.memory :], 0.0, atol=1e-12)
 
@@ -299,6 +307,23 @@ class TestProtocolRoundTrip:
         code = self.code()
         with pytest.raises(IndexError):
             dif_encode(code.hashes.num_messages, code, seed=0)
+
+    def test_integral_float_counts_decide_like_ints(self):
+        code = self.code()
+        for seed in range(6):
+            y, _ = dif_encode(3, code, seed=seed)
+            for candidate in range(8):
+                assert dif_identify(candidate, y.astype(float), code) == \
+                    dif_identify(candidate, y, code)
+
+    @pytest.mark.parametrize("bad", [-1, 0.5])
+    def test_bad_counts_rejected(self, bad):
+        code = self.code()
+        y, _ = dif_encode(3, code, seed=0)
+        y = y.astype(float)
+        y[5] = bad
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            dif_identify(3, y, code)
 
 
 class TestErrorEstimation:

@@ -353,6 +353,17 @@ class TestCLI:
         assert any(v.startswith("separation_scale:") for v in record["violations"])
         assert not (tmp_path / "out").exists()
 
+    def test_trials_offered_only_where_the_schema_has_it(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, bounds_config())
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bounds", "--config", cfg_path, "--trials", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+        cfg_path = self.write_config(tmp_path, di_config())
+        assert cli_main(["di-sim", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                         "--trials", "3"]) == 0
+        assert json.loads((tmp_path / "o" / "config.json").read_text())["trials"] == 3
+
     def test_kind_mismatch(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, bounds_config())
         code = cli_main(["di-sim", "--config", cfg_path])
@@ -403,6 +414,11 @@ MALFORMED = {
     "mu-max-negative": {"kind": "measures-check", "mu_max": -1},
     "master-seed-bool": di_config(master_seed=True),
     "calibration-target-above-one": di_config(calibration_target=5),
+    # sizes a run could not allocate: hash_range derives to 2**101, n-slot draws
+    "dif-derived-hash-range-huge": {k: v for k, v in dif_config(n=40000, lambda2=1e-30).items()
+                                    if k not in ("hash_range", "num_messages")},
+    "di-n-huge": di_config(n=2**62),
+    "di-trials-huge": di_config(trials=2**62),
 }
 
 
