@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .seeding import spawn
 
@@ -102,6 +101,8 @@ def log_likelihood(y, x, params: ChannelParams) -> float:
 
     Returns -inf when some slot has zero mean but a positive count.
     """
+    from scipy.special import gammaln
+
     x = _as_codeword(x)
     y = np.asarray(y)
     if y.ndim != 1 or y.size != x.size + params.memory:

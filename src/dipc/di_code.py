@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelParams, PowerConstraints, effective_intensity, validate_power
+from .channel import (ChannelParams, PowerConstraints, as_counts, effective_intensity,
+                      validate_power)
 from .errors import ConstructionError
 from .measures import min_distance_radius
 from .results import ErrorEstimate, SimResult
@@ -274,10 +275,11 @@ def _statistics(outputs: np.ndarray, intensity: np.ndarray, n: int) -> np.ndarra
 
 def decode_identify(y, index: int, book: DICodebook) -> bool:
     """Test "was codeword ``index`` sent?": accept iff the per-slot mean
-    absolute deviation from its intensity is at most the threshold."""
+    absolute deviation from its intensity is at most the threshold.  Counts
+    must be nonnegative integers; integral floats are accepted."""
     if not 0 <= index < book.num_codewords:
         raise IndexError(f"message index {index} outside [0, {book.num_codewords})")
-    y = np.asarray(y, dtype=float)
+    y = as_counts(y)
     n = book.block_length
     if y.ndim != 1 or y.size != n + book.params.memory:
         raise ValueError(f"output length must be {n + book.params.memory}, got {y.size}")

@@ -58,10 +58,6 @@ class PilotSpec:
     amplitude: float
     block_count: int
 
-    @property
-    def full_block_count(self) -> int:
-        return self.n // (self.memory + 1)
-
     def input_sequence(self) -> np.ndarray:
         period = self.memory + 1
         block = np.zeros(period)

@@ -149,8 +149,10 @@ def _problems(table: dict, value: dict) -> list[str]:
 
 
 # Poisson laws are summed over their support, about mean + 7*sqrt(mean)
-# points, so no mean may exceed this.
-_MAX_MEAN = 1e6
+# points, and the rounding of their log-space masses grows with the mean:
+# at the default tail the total misses 1 by more than 1e-9 at some means
+# from about 6.8e5 up, and by at most about 1.2e-10 up to this cap.
+_MAX_MEAN = 1e5
 # Most cells one array of a run may hold: 1 GiB as float64.
 _MAX_CELLS = 2**27
 _POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")

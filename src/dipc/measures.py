@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 DEFAULT_TAIL_MASS = 1e-12
 
@@ -48,25 +47,32 @@ class FiniteDistribution:
 
 
 def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> FiniteDistribution:
-    """Poisson(mu) on [0, y_max], y_max the smallest point with CDF >= 1 - tail_mass.
+    """Poisson(mu) on [0, y_max], y_max the smallest point with sf(y_max) <= tail_mass.
 
-    The survival function stays accurate far below float-representable
-    1 - CDF, so tails down to ~1e-300 are supported; the root finder is only
-    trusted to 1e-12 and the exact cutoff found by stepping outward.
+    The survival function ``pdtrc`` stays accurate far below
+    float-representable 1 - CDF, so tails down to ~1e-300 are supported.  The
+    search starts at the quantile ``pdtrik`` finds for a tail of
+    max(tail_mass, 1e-12), the depth to which that root finder is trusted,
+    and steps outward to the exact cutoff.  The masses are
+    exp(y ln mu - ln y! - mu) clipped to [0, 1], as scipy's ``poisson``
+    distribution computes them.  ``scipy.special`` is imported on first
+    call, so importing dipc does not load scipy.
     """
+    from scipy.special import gammaln, pdtrc, pdtrik, xlogy
+
     if mu < 0:
         raise ValueError("Poisson mean must be nonnegative")
     if not 0 < tail_mass < 1:
         raise ValueError("tail_mass must lie in (0, 1)")
     if mu == 0:
         return FiniteDistribution(np.array([0]), np.array([1.0]), 0.0)
-    y_max = int(poisson.isf(max(tail_mass, 1e-12), mu))
-    while poisson.sf(y_max, mu) > tail_mass:
+    y_max = math.ceil(pdtrik(1.0 - max(tail_mass, 1e-12), mu))
+    while pdtrc(y_max, mu) > tail_mass:
         y_max += 1
-    while y_max > 0 and poisson.sf(y_max - 1, mu) <= tail_mass:
+    while y_max > 0 and pdtrc(y_max - 1, mu) <= tail_mass:
         y_max -= 1
     support = np.arange(y_max + 1)
-    mass = poisson.pmf(support, mu)
+    mass = np.clip(np.exp(xlogy(support, mu) - gammaln(support + 1) - mu), 0, 1)
     tail = max(0.0, 1.0 - mass.sum())
     return FiniteDistribution(support, mass, tail)
 

@@ -150,7 +150,7 @@ def test_07_dif_end_to_end():
                           hash_range=hash_range, eps=0.2, constraints=power,
                           seed=seed)
     assert code.inner.length == 30
-    assert code.pilot.full_block_count == 300
+    assert code.pilot.n // (code.pilot.memory + 1) == 300
     inner = estimate_inner_error(code, trials, seed)
     result = estimate_dif_errors(code, [(0, 1)], trials, seed)
     type1 = result.type1[0].estimate

@@ -282,6 +282,21 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decode_identify(np.zeros(3), 0, book)
 
+    @pytest.mark.parametrize("slot, value", [(0, -3), (1, 0.5)])
+    def test_counts_must_be_nonnegative_integers(self, slot, value):
+        book = small_book()
+        y = np.zeros(book.block_length + FIG2.memory)
+        y[slot] = value
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            decode_identify(y, 0, book)
+
+    def test_integral_float_counts_decide_as_integers(self):
+        book = small_book()
+        book.threshold = 1.0
+        y = np.round(book.intensities[0]).astype(np.int64)
+        for i in range(book.num_codewords):
+            assert decode_identify(y.astype(float), i, book) == decode_identify(y, i, book)
+
     def test_decides_with_the_calibration_statistic(self):
         # the threshold sits exactly on one row's statistic, so any ulp of
         # disagreement between the two computations flips a decision

@@ -47,7 +47,7 @@ class TestPilot:
             pilot.input_sequence(), [4.0, 0, 0, 4.0, 0, 0, 4.0]
         )
         assert pilot.block_count == 3
-        assert pilot.full_block_count == 2
+        assert pilot.n // (pilot.memory + 1) == 2
 
     def test_expected_block_receptions(self):
         pilot = build_pilot(9, FIG2, peak=10.0)

@@ -419,6 +419,10 @@ MALFORMED = {
                                     if k not in ("hash_range", "num_messages")},
     "di-n-huge": di_config(n=2**62),
     "di-trials-huge": di_config(trials=2**62),
+    # Poisson means whose truncated law misses total mass 1 by more than 1e-9
+    "dif-mean-above-cap": dif_config(channel={"memory": 0, "hit_probs": [1.0]},
+                                     power={"peak": 8.7e5, "average": 8.7e5}),
+    "mu-max-above-cap": {"kind": "measures-check", "mu_max": 1e6},
 }
 
 

@@ -58,6 +58,19 @@ class TestTruncatedPmf:
         assert poisson.sf(int(d.support[-1]), 5.0) <= 1e-20
         assert poisson.sf(int(d.support[-1]) - 1, 5.0) > 1e-20
 
+    @pytest.mark.parametrize("tail", [0.4, 1e-3, 1e-12, 1e-30, 1e-300])
+    def test_matches_scipy_stats_poisson(self, tail):
+        from scipy.stats import poisson
+
+        for mu in np.geomspace(1e-6, 1e5, 45):
+            d = poisson_pmf_truncated(mu, tail)
+            y_max = int(d.support[-1])
+            assert poisson.sf(y_max, mu) <= tail
+            assert y_max == 0 or poisson.sf(y_max - 1, mu) > tail
+            mass = poisson.pmf(np.arange(y_max + 1), mu)
+            assert np.array_equal(d.mass, mass)
+            assert d.tail_bound == max(0.0, 1.0 - mass.sum())
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             poisson_pmf_truncated(-1.0)
