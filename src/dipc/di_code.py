@@ -21,7 +21,7 @@ from .channel import (ChannelParams, PowerConstraints, as_counts, effective_inte
                       validate_power)
 from .errors import ConstructionError
 from .measures import min_distance_radius
-from .results import ErrorEstimate, SimResult
+from .results import SimResult, tally
 from .seeding import spawn
 
 # Above this codebook size the ordered Type II pair matrix is subsampled.
@@ -59,9 +59,6 @@ class PackingGeometry:
     n: int
     ball_radius: float
     packing_radius: float
-    rate_limit: float
-    avg_ball_radius: float
-    peak_ball_radius: float
 
 
 def power_ball_radius(
@@ -79,18 +76,11 @@ def power_ball_radius(
     """
     if memory < 1:
         raise ValueError("memory must be at least 1 for the power-ball bound")
-    dark = params.dark_rate
-    ts = params.slot_duration
-    avg_sq = n * dark + n * constraints.average * memory * ts
-    peak_sq = n * dark + n * constraints.peak * memory * ts
     rate = min(constraints.average, constraints.peak)
     return PackingGeometry(
         n=n,
-        ball_radius=math.sqrt(n * dark + n * rate * memory * ts),
+        ball_radius=math.sqrt(n * params.dark_rate + n * rate * memory * params.slot_duration),
         packing_radius=packing_radius,
-        rate_limit=rate,
-        avg_ball_radius=math.sqrt(avg_sq),
-        peak_ball_radius=math.sqrt(peak_sq),
     )
 
 
@@ -353,31 +343,20 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
         pairs = [_ordered_pair(int(k), count) for k in sorted(picks)]
         sampling = "subsampled"
 
-    tested_by_sender: dict[int, list[int]] = {}
-    for i, j in pairs:
-        tested_by_sender.setdefault(i, []).append(j)
-
     n = book.block_length
-    type1: dict[int, ErrorEstimate] = {}
-    type2: dict[tuple[int, int], ErrorEstimate] = {}
-    for i in range(count):
+
+    def decide(i, tested):
         rng = spawn(seed, "estimate", i)
         outputs = rng.poisson(book.intensities[i], size=(trials, n + book.params.memory))
         counts = outputs[:, :n].astype(float)  # converted once, tested many times
         own = _statistics(counts, book.intensities[i], n)
-        type1[i] = ErrorEstimate(int((own > book.threshold).sum()), trials)
-        for j in tested_by_sender.get(i, ()):
-            other = _statistics(counts, book.intensities[j], n)
-            type2[(i, j)] = ErrorEstimate(int((other <= book.threshold).sum()), trials)
+        return (int((own > book.threshold).sum()),
+                [int((_statistics(counts, book.intensities[j], n) <= book.threshold).sum())
+                 for j in tested],
+                {})
 
-    return SimResult(
-        kind="di-sim",
-        type1=type1,
-        type2=type2,
-        trials=trials,
-        seed=seed,
-        extras={"pair_sampling": sampling, "pairs": len(pairs), "threshold": book.threshold},
-    )
+    return tally("di-sim", range(count), pairs, trials, seed, decide,
+                 {"pair_sampling": sampling, "pairs": len(pairs), "threshold": book.threshold})
 
 
 def di_rate(num_messages: int, n: int) -> float:
@@ -386,11 +365,4 @@ def di_rate(num_messages: int, n: int) -> float:
         raise ValueError("message count must be at least 1")
     if n < 2:
         raise ValueError("block length must be at least 2")
-    return di_rate_from_bits(math.log2(num_messages), n)
-
-
-def di_rate_from_bits(log_count_bits: float, n: int) -> float:
-    """Rate for a code size given directly as log2(N) bits."""
-    if n < 2:
-        raise ValueError("block length must be at least 2")
-    return log_count_bits / (n * math.log2(n))
+    return math.log2(num_messages) / (n * math.log2(n))

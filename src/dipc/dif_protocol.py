@@ -31,7 +31,7 @@ import numpy as np
 from .channel import ChannelParams, PowerConstraints, as_counts, effective_intensity
 from .errors import ConstructionError
 from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
-from .results import ErrorEstimate, SimResult
+from .results import ErrorEstimate, SimResult, tally
 from .seeding import spawn
 
 # Finite-sample slack (in binomial sigmas) added to the typicality tolerance;
@@ -401,16 +401,10 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
     pairs = [(int(i), int(j)) for i, j in message_pairs]
     if any(i == j for i, j in pairs):
         raise ValueError("Type II pairs must have distinct messages")
-    tested_by_sender: dict[int, list[int]] = {}
-    for i, j in pairs:
-        tested_by_sender.setdefault(i, []).append(j)
 
-    type1: dict[int, ErrorEstimate] = {}
-    type2: dict[tuple[int, int], ErrorEstimate] = {}
-    atypical_total = 0
-    for sender in sorted(tested_by_sender):
-        rejects = 0
-        accepts = {j: 0 for j in tested_by_sender[sender]}
+    def decide(sender, tested):
+        rejects = atypical = 0
+        accepts = [0] * len(tested)
         for t in range(trials):
             y, blocks, sent_value = _encode_with_rngs(
                 sender, code,
@@ -418,27 +412,16 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
                 spawn(seed, "dif", sender, t, "p2"),
             )
             decoded = _receive(y, blocks, code)
+            rejects += decoded != sent_value  # an atypical string (None) rejects too
             if decoded is None:
-                atypical_total += 1
-                rejects += 1
+                atypical += 1
                 continue
-            if decoded != sent_value:
-                rejects += 1
-            for j in accepts:
-                if decoded == hash_message(j, blocks, code.hashes):
-                    accepts[j] += 1
-        type1[sender] = ErrorEstimate(rejects, trials)
-        for j, k in accepts.items():
-            type2[(sender, j)] = ErrorEstimate(k, trials)
+            for k, j in enumerate(tested):
+                accepts[k] += decoded == hash_message(j, blocks, code.hashes)
+        return rejects, accepts, {"atypical": atypical}
 
-    return SimResult(
-        kind="dif-sim",
-        type1=type1,
-        type2=type2,
-        trials=trials,
-        seed=seed,
-        extras={"atypical": atypical_total},
-    )
+    return tally("dif-sim", sorted({i for i, _ in pairs}), pairs, trials, seed, decide,
+                 {"atypical": 0})
 
 
 def estimate_inner_error(code: DIFCode, trials: int, seed: int) -> ErrorEstimate:

@@ -24,6 +24,7 @@ from .dif_protocol import build_dif_code, dif_power_fits, estimate_dif_errors, e
 from .errors import ConfigError
 from .measures import (
     DEFAULT_TAIL_MASS,
+    MAX_MEAN,
     bhattacharyya,
     poisson_bhattacharyya_sq,
     poisson_entropy_approx,
@@ -148,11 +149,6 @@ def _problems(table: dict, value: dict) -> list[str]:
     return problems
 
 
-# Poisson laws are summed over their support, about mean + 7*sqrt(mean)
-# points, and the rounding of their log-space masses grows with the mean:
-# at the default tail the total misses 1 by more than 1e-9 at some means
-# from about 6.8e5 up, and by at most about 1.2e-10 up to this cap.
-_MAX_MEAN = 1e5
 # Most cells one array of a run may hold: 1 GiB as float64.
 _MAX_CELLS = 2**27
 _POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
@@ -180,7 +176,7 @@ _LINK = {
 
 def _means_fit(d) -> bool:
     params = ExperimentConfig(d).channel
-    return params.dark_rate + d["power"]["peak"] * params.slot_duration <= _MAX_MEAN
+    return params.dark_rate + d["power"]["peak"] * params.slot_duration <= MAX_MEAN
 
 
 def _converse_fits(d) -> bool:
@@ -202,7 +198,7 @@ def _converse_fits(d) -> bool:
 _BUDGET_SUM = (lambda d: 0 < d["lambda1"] + d["lambda2"] < 1,
                "lambda1+lambda2 must lie in (0, 1), got {lambda1} + {lambda2}")
 _MEANS = (_means_fit, "power: channel.dark_rate + peak * channel.slot_duration must be"
-                      f" at most {_MAX_MEAN:g}")
+                      f" at most {MAX_MEAN:g}")
 
 # kind -> (field table, cross-field rules).  A rule is (test, message); the
 # message is formatted with the effective config.  Rules see only configs
@@ -276,7 +272,7 @@ SCHEMAS = {
     "measures-check": ({
         **_COMMON,
         "trials": (_integer(1), 1000),
-        "mu_max": (_number(lambda v: 0 <= v <= _MAX_MEAN, f"in [0, {_MAX_MEAN:g}]"), 50.0),
+        "mu_max": (_number(lambda v: 0 <= v <= MAX_MEAN, f"in [0, {MAX_MEAN:g}]"), 50.0),
     }, []),
 }
 KINDS = tuple(SCHEMAS)
@@ -308,11 +304,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(data)
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return validate_config(json.load(fh))
 
 
 @dataclass
@@ -474,17 +465,13 @@ def run(config: ExperimentConfig) -> RunOutput:
     return _RUNNERS[config.kind](config)
 
 
-def emit_plot_data(rows: list[dict], path, fieldnames=None) -> None:
+def emit_plot_data(rows: list[dict], path) -> None:
     """Write a column-oriented text table: header row, one record per row.
 
     Cells are JSON-encoded so :func:`read_plot_data` reproduces the values
-    exactly.  ``fieldnames`` is required when ``rows`` is empty.
+    exactly.  The header is the first row's keys, empty when there are no rows.
     """
-    if fieldnames is None:
-        if not rows:
-            fieldnames = []
-        else:
-            fieldnames = list(rows[0].keys())
+    fieldnames = list(rows[0]) if rows else []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)

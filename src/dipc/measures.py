@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TAIL_MASS = 1e-12
+# Poisson laws are summed over their support, about mean + 7*sqrt(mean)
+# points, and the rounding of their log-space masses grows with the mean:
+# at the default tail the total misses 1 by more than 1e-9 at some means
+# from about 6.8e5 up, and by at most about 1.2e-10 up to this cap.
+MAX_MEAN = 1e5
 
 LN2 = math.log(2.0)
 
@@ -62,6 +67,8 @@ def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Fi
 
     if mu < 0:
         raise ValueError("Poisson mean must be nonnegative")
+    if mu > MAX_MEAN:
+        raise ValueError(f"Poisson mean {mu!r} exceeds MAX_MEAN={MAX_MEAN:g}")
     if not 0 < tail_mass < 1:
         raise ValueError("tail_mass must lie in (0, 1)")
     if mu == 0:

@@ -1,4 +1,5 @@
-"""Monte Carlo result containers and binomial confidence intervals."""
+"""Monte Carlo result containers, binomial confidence intervals and the one
+Type I / Type II tally both identification codes are measured with."""
 
 from __future__ import annotations
 
@@ -80,6 +81,33 @@ class SimResult:
         return [result_row(self.config_digest, metric, est.estimate, self.seed, est.trials,
                            i, j, (est.ci_low, est.ci_high))
                 for metric, i, j, est in estimates]
+
+
+def tally(kind: str, senders, pairs, trials: int, seed: int, decide, extras: dict) -> SimResult:
+    """Type I / Type II estimates over ordered (sent, tested) pairs.
+
+    ``decide(sender, tested)`` runs ``trials`` transmissions of ``sender``,
+    tests each against the sender and against every message of ``tested``
+    (its distinct tested messages, in first-seen order, so a repeated pair is
+    measured once), and returns (rejections of the sender, acceptances per
+    tested message, diagnostic counts).  It is called once per sender, in
+    ``senders`` order; the diagnostic counts are summed into ``extras``.
+    """
+    tested_by_sender: dict[int, dict[int, None]] = {}
+    for i, j in pairs:
+        tested_by_sender.setdefault(i, {})[j] = None
+    type1: dict[int, ErrorEstimate] = {}
+    type2: dict[tuple[int, int], ErrorEstimate] = {}
+    for sender in senders:
+        tested = list(tested_by_sender.get(sender, ()))
+        rejections, acceptances, counts = decide(sender, tested)
+        type1[sender] = ErrorEstimate(rejections, trials)
+        for j, accepted in zip(tested, acceptances):
+            type2[(sender, j)] = ErrorEstimate(accepted, trials)
+        for name, count in counts.items():
+            extras[name] += count
+    return SimResult(kind=kind, type1=type1, type2=type2, trials=trials, seed=seed,
+                     extras=extras)
 
 
 def result_row(digest, metric: str, estimate: float, seed: int, trials=None,

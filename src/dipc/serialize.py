@@ -1,8 +1,8 @@
-"""JSON schemas for codebooks and protocol transcripts.
+"""JSON schema for codebooks and their channels.
 
-Documents carry a schema tag; loaders reject versions they do not know.
-Float values round-trip exactly (json uses repr), so a saved codebook
-reproduces the original decoder behavior bit for bit.
+A codebook document carries a schema tag; the loader rejects versions it
+does not know.  Float values round-trip exactly (json uses repr), so a
+saved codebook reproduces the original decoder behavior bit for bit.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import numpy as np
 
 from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook
-from .dif_protocol import DIFTranscript
 
 CODEBOOK_SCHEMA = "dipc-codebook/1"
-TRANSCRIPT_SCHEMA = "dipc-transcript/1"
 
 
 def channel_to_dict(params: ChannelParams) -> dict:
@@ -76,25 +74,3 @@ def load_codebook(path) -> DICodebook:
     with open(path, encoding="utf-8") as fh:
         return codebook_from_dict(json.load(fh))
 
-
-def transcript_to_dict(transcript: DIFTranscript) -> dict:
-    return {
-        "schema": TRANSCRIPT_SCHEMA,
-        "message": transcript.message,
-        "blocks": [[int(v) for v in row] for row in transcript.blocks],
-        "typical": transcript.typical,
-        "hash_value": transcript.hash_value,
-        "seed": transcript.seed,
-    }
-
-
-def transcript_from_dict(data: dict) -> DIFTranscript:
-    if data.get("schema") != TRANSCRIPT_SCHEMA:
-        raise ValueError(f"unknown transcript schema {data.get('schema')!r}")
-    return DIFTranscript(
-        message=data["message"],
-        blocks=np.asarray(data["blocks"], dtype=np.int64),
-        typical=data["typical"],
-        hash_value=data["hash_value"],
-        seed=data["seed"],
-    )

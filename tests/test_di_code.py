@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,7 +23,7 @@ from dipc import (
     reparameterize,
     validate_codebook,
 )
-from dipc.di_code import _ordered_pair, _statistics, di_rate_from_bits
+from dipc.di_code import _ordered_pair, _statistics
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -82,14 +84,14 @@ class TestPowerBall:
         c = PowerConstraints(peak=2.0, average=1.0)
         g = power_ball_radius(100, params, c, memory=3, packing_radius=0.5)
         assert g.ball_radius == pytest.approx(17.606816861659009, abs=1e-12)
-        assert g.rate_limit == 1.0
+        assert g.ball_radius == math.sqrt(100 * 0.1 + 100 * min(1.0, 2.0) * 3 * 1.0)
 
     def test_peak_binds_when_smaller(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.0)
         c = PowerConstraints(peak=1.0, average=5.0)
         g = power_ball_radius(10, params, c, memory=2, packing_radius=0.5)
-        assert g.rate_limit == 1.0
-        assert g.ball_radius == g.peak_ball_radius < g.avg_ball_radius
+        assert g.ball_radius == math.sqrt(10 * 0.0 + 10 * min(5.0, 1.0) * 2 * 1.0)
+        assert g.ball_radius < math.sqrt(10 * 0.0 + 10 * 5.0 * 2 * 1.0)
 
     def test_memory_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +440,17 @@ class TestErrorEstimation:
         with pytest.raises(ValueError):
             estimate_errors(book, 0, seed=1)
 
+    def test_rows_pinned(self):
+        # pinned digest of the rows; any change to the streams, the pair
+        # order or the Type I / Type II tally moves it
+        book = small_book(max_codewords=4)
+        calibrate_threshold(book, 1000, seed=3)
+        res = estimate_errors(book, 300, seed=8)
+        rows = json.dumps(res.rows(), sort_keys=True).encode()
+        assert hashlib.sha256(rows).hexdigest() == \
+            "0e148465680c0d622ac7da1fb3403b5bb109fe45926802fcd3c166b0534d2633"
+        assert res.extras == {"pair_sampling": "full", "pairs": 12, "threshold": 2.0625}
+
 
 class TestTwoSidedOracle:
     """Decoder j tells codeword i from j with Type I + Type II at least
@@ -470,12 +483,6 @@ class TestRate:
         n = 4
         count = 2 ** int(n * math.log2(n))
         assert di_rate(count, n) == pytest.approx(1.0)
-
-    def test_from_bits_matches_packing_example(self):
-        bits = 100 * math.log2(2 * 17.606816861659009 / 0.50538382629739482)
-        assert di_rate_from_bits(bits, 100) == pytest.approx(
-            bits / (100 * math.log2(100))
-        )
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

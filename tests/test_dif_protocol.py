@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -341,6 +343,23 @@ class TestErrorEstimation:
         r1 = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
         r2 = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
         assert r1.type1 == r2.type1 and r1.type2 == r2.type2
+
+    def test_rows_pinned(self):
+        # pinned digest of the rows; any change to the per-trial
+        # streams, the hashing or the Type I / Type II tally moves it
+        code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
+        res = estimate_dif_errors(code, [(0, 1), (2, 0), (0, 3), (1, 0)], trials=200, seed=5)
+        rows = json.dumps(res.rows(), sort_keys=True).encode()
+        assert hashlib.sha256(rows).hexdigest() == \
+            "8749cc0a452cee5c20074c5fba1039bfdbe5372b2c4c9090164c037274f97752"
+        assert res.extras == {"atypical": 51}
+
+    def test_repeated_pair_measured_once(self):
+        code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
+        once = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
+        twice = estimate_dif_errors(code, [(0, 1), (0, 1), (1, 0)], trials=200, seed=5)
+        assert twice.rows() == once.rows()
+        assert twice.extras["atypical"] == once.extras["atypical"]
 
     def test_pair_validation(self):
         code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)

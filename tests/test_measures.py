@@ -14,6 +14,7 @@ from dipc import (
     poisson_pmf_truncated,
     tv_distance,
 )
+from dipc.measures import MAX_MEAN
 
 # 50-digit oracle values (direct arbitrary-precision summation / arithmetic).
 ENTROPY_POIS_1_BITS = 1.8824894320455294
@@ -76,6 +77,15 @@ class TestTruncatedPmf:
             poisson_pmf_truncated(-1.0)
         with pytest.raises(ValueError):
             poisson_pmf_truncated(1.0, 0.0)
+
+    @pytest.mark.parametrize("mu", [math.nextafter(MAX_MEAN, math.inf), 6.76e5])
+    def test_means_above_the_cap_rejected(self, mu):
+        # at 6.76e5 the summed masses miss 1 by more than 1e-9
+        assert MAX_MEAN == 1e5
+        with pytest.raises(ValueError, match="exceeds MAX_MEAN=100000"):
+            poisson_pmf_truncated(mu)
+        with pytest.raises(ValueError, match="exceeds MAX_MEAN=100000"):
+            poisson_entropy_exact(mu)
 
 
 class TestFiniteDistribution:
