@@ -66,13 +66,13 @@ def main(argv=None) -> int:
     try:
         output = run(config)
         written = write_outputs(output, out_dir)
-    except Exception as exc:  # pragma: no cover - defensive surface
+        write_meta(out_dir, started, time.time())
+    except Exception as exc:
         print(_error_record("runtime", message=str(exc)), file=sys.stderr)
         return 1
-    write_meta(out_dir, started, time.time())
 
     print(json.dumps({
-        "kind": output.kind,
+        "kind": config.kind,
         "config_digest": output.digest,
         "rows": len(output.rows),
         "out_dir": out_dir,

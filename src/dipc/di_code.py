@@ -27,6 +27,8 @@ from .seeding import spawn
 # Above this codebook size the ordered Type II pair matrix is subsampled.
 FULL_PAIR_LIMIT = 64
 PAIR_SAMPLE_FACTOR = 64
+# Packing stops after this many times the codebook size of consecutive rejections.
+STOP_REJECTIONS_PER_WORD = 200
 
 
 def memory_scaling(n: int, kappa: float) -> int:
@@ -100,22 +102,18 @@ class ConstructionStrategy:
     """Knobs for greedy codebook construction.
 
     ``levels`` is the per-slot release-rate alphabet (default 0, peak/2,
-    peak).  With the default ``balanced`` composition every candidate is a
-    random permutation of the same near-equal level multiset, so all
-    codewords share one own-statistic scale and a single decoder threshold
-    calibrates uniformly; ``uniform`` draws slots independently instead.
-    ``separation_scale`` (at least 1) multiplies the required minimum
-    distance; values above 1 trade codebook size for decoder margin.
-    Construction stops at ``max_codewords`` or after
-    ``stop_rejections_per_word`` times the current size of consecutive
-    rejections.
+    peak).  Every candidate is a random permutation of the same near-equal
+    level multiset, so all codewords share one own-statistic scale and a
+    single decoder threshold calibrates uniformly.  ``separation_scale`` (at
+    least 1) multiplies the required minimum distance; values above 1 trade
+    codebook size for decoder margin.  Construction stops at
+    ``max_codewords`` or after :data:`STOP_REJECTIONS_PER_WORD` times the
+    current size of consecutive rejections.
     """
 
     levels: tuple[float, ...] | None = None
     max_codewords: int = 64
-    stop_rejections_per_word: int = 200
     separation_scale: float = 1.0
-    composition: str = "balanced"
 
 
 @dataclass
@@ -182,9 +180,9 @@ def construct_codebook(
 ) -> DICodebook:
     """Greedy rejection packing of grid codewords at sqrt-domain distance 2r.
 
-    Candidates are drawn slot-wise from the level alphabet, rescaled onto the
-    average-power budget when it binds, and accepted when they keep the
-    minimum pairwise distance.  Deterministic in ``seed``.
+    Candidates are balanced permutations of the level alphabet, rescaled
+    onto the average-power budget when it binds, and accepted when they keep
+    the minimum pairwise distance.  Deterministic in ``seed``.
     """
     if n < 1:
         raise ValueError("block length must be positive")
@@ -197,16 +195,13 @@ def construct_codebook(
     levels = np.sort(np.asarray(levels, dtype=float))
     if np.any(levels < 0) or np.any(levels > constraints.peak):
         raise ValueError("level alphabet must lie in [0, peak]")
-    if strategy.composition not in ("balanced", "uniform"):
-        raise ValueError("composition must be 'balanced' or 'uniform'")
     if strategy.max_codewords < 1:
         raise ValueError("max_codewords must be at least 1")
     if not strategy.separation_scale >= 1:
         raise ValueError("separation_scale must be at least 1")
-    if strategy.composition == "balanced":
-        counts = np.full(levels.size, n // levels.size)
-        counts[: n % levels.size] += 1  # remainder on the lowest levels
-        base = np.repeat(levels, counts)
+    counts = np.full(levels.size, n // levels.size)
+    counts[: n % levels.size] += 1  # remainder on the lowest levels
+    base = np.repeat(levels, counts)
 
     budget = n * constraints.average
     accepted: list[np.ndarray] = []
@@ -217,10 +212,7 @@ def construct_codebook(
     while len(accepted) < strategy.max_codewords:
         rng = spawn(seed, "codebook", candidate)
         candidate += 1
-        if strategy.composition == "balanced":
-            x = rng.permutation(base)
-        else:
-            x = rng.choice(levels, size=n)
+        x = rng.permutation(base)
         total = x.sum()
         if total > budget:
             x = x * (budget / total)
@@ -228,7 +220,7 @@ def construct_codebook(
         k = len(accepted)
         if k and np.linalg.norm(pool[:k] - s, axis=1).min() < needed:
             rejections += 1
-            if rejections >= strategy.stop_rejections_per_word * k:
+            if rejections >= STOP_REJECTIONS_PER_WORD * k:
                 break
             continue
         if k == pool.shape[0]:
@@ -355,7 +347,7 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
                  for j in tested],
                 {})
 
-    return tally("di-sim", range(count), pairs, trials, seed, decide,
+    return tally(range(count), pairs, trials, seed, decide,
                  {"pair_sampling": sampling, "pairs": len(pairs), "threshold": book.threshold})
 
 

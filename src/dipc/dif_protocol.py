@@ -108,14 +108,8 @@ class TypicalSetSpec:
         """Per position: (y_max, extended pmf incl. overflow bucket)."""
         tables = []
         for law in self.letter_laws:
-            dist = poisson_pmf_truncated(float(law), self.tail_mass) if law > 0 else None
-            if dist is None:
-                pmf = np.array([1.0, 0.0])
-                y_max = 0
-            else:
-                pmf = np.append(dist.mass, dist.tail_bound)
-                y_max = int(dist.support[-1])
-            tables.append((y_max, pmf))
+            dist = poisson_pmf_truncated(float(law), self.tail_mass)
+            tables.append((int(dist.support[-1]), np.append(dist.mass, dist.tail_bound)))
         return tables
 
 
@@ -342,11 +336,9 @@ def build_dif_code(
 class DIFTranscript:
     """Audit record of one protocol run."""
 
-    message: int
     blocks: np.ndarray
     typical: bool
     hash_value: int
-    seed: int
 
 
 def _encode_with_rngs(index: int, code: DIFCode, rng_phase1, rng_phase2):
@@ -372,8 +364,7 @@ def dif_encode(index: int, code: DIFCode, seed: int):
     if not 0 <= index < code.hashes.num_messages:
         raise IndexError(f"message index {index} outside [0, {code.hashes.num_messages})")
     y, blocks, value = _encode_with_rngs(index, code, spawn(seed, "phase1"), spawn(seed, "phase2"))
-    return y, DIFTranscript(message=index, blocks=blocks, typical=typical_test(blocks, code.typ),
-                            hash_value=value, seed=seed)
+    return y, DIFTranscript(blocks=blocks, typical=typical_test(blocks, code.typ), hash_value=value)
 
 
 def dif_identify(index: int, y, code: DIFCode) -> bool:
@@ -420,8 +411,7 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
                 accepts[k] += decoded == hash_message(j, blocks, code.hashes)
         return rejects, accepts, {"atypical": atypical}
 
-    return tally("dif-sim", sorted({i for i, _ in pairs}), pairs, trials, seed, decide,
-                 {"atypical": 0})
+    return tally(sorted({i for i, _ in pairs}), pairs, trials, seed, decide, {"atypical": 0})
 
 
 def estimate_inner_error(code: DIFCode, trials: int, seed: int) -> ErrorEstimate:

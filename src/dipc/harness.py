@@ -19,7 +19,8 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import serialize
 from .channel import ChannelParams, PowerConstraints
-from .di_code import ConstructionStrategy, calibrate_threshold, construct_codebook, estimate_errors
+from .di_code import (ConstructionStrategy, DICodebook, calibrate_threshold, construct_codebook,
+                      estimate_errors)
 from .dif_protocol import build_dif_code, dif_power_fits, estimate_dif_errors, estimate_inner_error
 from .errors import ConfigError
 from .measures import (
@@ -308,13 +309,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 @dataclass
 class RunOutput:
-    """Everything a run produced: flat result rows plus payload objects."""
+    """Everything a run writes: result rows, plot tables and the di-sim codebook."""
 
-    kind: str
     config: ExperimentConfig
     rows: list[dict]
-    payload: dict = field(default_factory=dict)
     tables: dict[str, list[dict]] = field(default_factory=dict)
+    codebook: DICodebook | None = None
 
     @property
     def digest(self) -> str:
@@ -352,8 +352,7 @@ def _run_bounds(config: ExperimentConfig) -> RunOutput:
                 }
             )
         tables["converse_trend"] = trend
-    return RunOutput(kind="bounds", config=config, rows=rows,
-                     payload={"report": report}, tables=tables)
+    return RunOutput(config=config, rows=rows, tables=tables)
 
 
 def _run_di_sim(config: ExperimentConfig) -> RunOutput:
@@ -374,13 +373,7 @@ def _run_di_sim(config: ExperimentConfig) -> RunOutput:
         target=data["calibration_target"],
     )
     result = estimate_errors(book, data["trials"], config.master_seed)
-    result.config_digest = config.digest()
-    return RunOutput(
-        kind="di-sim",
-        config=config,
-        rows=result.rows(),
-        payload={"result": result, "codebook": book},
-    )
+    return RunOutput(config=config, rows=result.rows(config.digest()), codebook=book)
 
 
 def _run_dif_sim(config: ExperimentConfig) -> RunOutput:
@@ -401,21 +394,11 @@ def _run_dif_sim(config: ExperimentConfig) -> RunOutput:
     inner = estimate_inner_error(code, data["inner_error_trials"], config.master_seed)
     pairs = [tuple(p) for p in data["pairs"]]
     result = estimate_dif_errors(code, pairs, data["trials"], config.master_seed)
-    result.config_digest = config.digest()
-    result.extras["inner_error"] = inner.estimate
-    result.extras["inner_error_ci"] = [inner.ci_low, inner.ci_high]
-    result.extras["hash_range"] = code.hashes.hash_range
-    rows = result.rows()
-    rows.append(
-        result_row(result.config_digest, "inner_error", inner.estimate,
-                   config.master_seed, trials=inner.trials, ci=(inner.ci_low, inner.ci_high))
-    )
-    return RunOutput(
-        kind="dif-sim",
-        config=config,
-        rows=rows,
-        payload={"result": result, "code": code, "inner_error": inner},
-    )
+    digest = config.digest()
+    rows = result.rows(digest)
+    rows.append(result_row(digest, "inner_error", inner.estimate, config.master_seed,
+                           trials=inner.trials, ci=(inner.ci_low, inner.ci_high)))
+    return RunOutput(config=config, rows=rows)
 
 
 def _run_measures_check(config: ExperimentConfig) -> RunOutput:
@@ -449,7 +432,7 @@ def _run_measures_check(config: ExperimentConfig) -> RunOutput:
         result_row(digest, "entropy_approx_gap_mu10", gap10, seed),
         result_row(digest, "entropy_approx_gap_mu100", gap100, seed),
     ]
-    return RunOutput(kind="measures-check", config=config, rows=rows)
+    return RunOutput(config=config, rows=rows)
 
 
 _RUNNERS = {
@@ -495,7 +478,7 @@ def read_plot_data(path) -> list[dict]:
 
 def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
     """Persist a run: config.json, results.jsonl, summary.csv, meta.json,
-    plus payload files (codebook, plot tables).  Returns written paths.
+    plus the codebook and plot tables.  Returns written paths.
 
     Everything except meta.json is a pure function of the effective config.
     """
@@ -509,7 +492,7 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
 
     header = {
         "schema_version": RESULT_SCHEMA_VERSION,
-        "kind": output.kind,
+        "kind": output.config.kind,
         "config_digest": output.digest,
     }
     results_path = out / "results.jsonl"
@@ -532,9 +515,9 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
         emit_plot_data(table, table_path)
         written[name] = str(table_path)
 
-    if "codebook" in output.payload:
+    if output.codebook is not None:
         book_path = out / "codebook.json"
-        serialize.save_codebook(output.payload["codebook"], book_path)
+        serialize.save_codebook(output.codebook, book_path)
         written["codebook"] = str(book_path)
 
     return written

@@ -6,12 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# Two-sided 95% normal quantile used throughout.
-WILSON_Z = 1.959963984540054
 
-
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion.
 
     Unlike the Wald interval it stays inside [0, 1] and gives a nonzero upper
     bound when no successes were observed.
@@ -21,6 +18,7 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -54,17 +52,13 @@ class SimResult:
 
     ``type1`` maps message index to its estimate; ``type2`` maps ordered
     pairs (sent, tested).  ``extras`` carries run-specific diagnostics such
-    as the pair-sampling mode or atypicality rates.  The config digest is
-    attached by the harness when the run came from a config file.
+    as the pair-sampling mode or atypicality counts.
     """
 
-    kind: str
     type1: dict[int, ErrorEstimate]
     type2: dict[tuple[int, int], ErrorEstimate]
-    trials: int
     seed: int
-    extras: dict = field(default_factory=dict)
-    config_digest: str | None = None
+    extras: dict
 
     @property
     def max_type1(self) -> ErrorEstimate:
@@ -74,16 +68,17 @@ class SimResult:
     def max_type2(self) -> ErrorEstimate:
         return max(self.type2.values(), key=lambda e: e.estimate)
 
-    def rows(self) -> list[dict]:
-        """Flatten to one record per estimate, in a fixed deterministic order."""
+    def rows(self, digest: str | None) -> list[dict]:
+        """Flatten to one record per estimate, in a fixed deterministic order,
+        each stamped with ``digest``, the digest of the run's config."""
         estimates = [("type1", i, None, est) for i, est in sorted(self.type1.items())]
         estimates += [("type2", i, j, est) for (i, j), est in sorted(self.type2.items())]
-        return [result_row(self.config_digest, metric, est.estimate, self.seed, est.trials,
+        return [result_row(digest, metric, est.estimate, self.seed, est.trials,
                            i, j, (est.ci_low, est.ci_high))
                 for metric, i, j, est in estimates]
 
 
-def tally(kind: str, senders, pairs, trials: int, seed: int, decide, extras: dict) -> SimResult:
+def tally(senders, pairs, trials: int, seed: int, decide, extras: dict) -> SimResult:
     """Type I / Type II estimates over ordered (sent, tested) pairs.
 
     ``decide(sender, tested)`` runs ``trials`` transmissions of ``sender``,
@@ -106,8 +101,7 @@ def tally(kind: str, senders, pairs, trials: int, seed: int, decide, extras: dic
             type2[(sender, j)] = ErrorEstimate(accepted, trials)
         for name, count in counts.items():
             extras[name] += count
-    return SimResult(kind=kind, type1=type1, type2=type2, trials=trials, seed=seed,
-                     extras=extras)
+    return SimResult(type1=type1, type2=type2, seed=seed, extras=extras)
 
 
 def result_row(digest, metric: str, estimate: float, seed: int, trials=None,

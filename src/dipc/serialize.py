@@ -12,9 +12,11 @@ import json
 import numpy as np
 
 from .channel import ChannelParams, PowerConstraints
-from .di_code import DICodebook
+from .di_code import DICodebook, validate_codebook
 
 CODEBOOK_SCHEMA = "dipc-codebook/1"
+_CODEBOOK_FIELDS = {"channel", "power", "packing_radius", "type1_budget", "type2_budget",
+                    "threshold", "codewords"}
 
 
 def channel_to_dict(params: ChannelParams) -> dict:
@@ -51,9 +53,16 @@ def codebook_to_dict(book: DICodebook) -> dict:
 
 
 def codebook_from_dict(data: dict) -> DICodebook:
+    """The codebook of a JSON document, checked by :func:`validate_codebook`."""
     if data.get("schema") != CODEBOOK_SCHEMA:
         raise ValueError(f"unknown codebook schema {data.get('schema')!r}")
-    return DICodebook(
+    missing = sorted(_CODEBOOK_FIELDS - set(data))
+    if missing:
+        raise ValueError(f"codebook: missing fields {missing}")
+    odd = sorted(set(data["power"]) ^ {"peak", "average"}, key=str)
+    if odd:
+        raise ValueError(f"power: missing or unknown fields {odd}")
+    book = DICodebook(
         codewords=np.asarray(data["codewords"], dtype=float),
         params=channel_from_dict(data["channel"]),
         constraints=PowerConstraints(**data["power"]),
@@ -62,6 +71,8 @@ def codebook_from_dict(data: dict) -> DICodebook:
         type2_budget=data["type2_budget"],
         threshold=data["threshold"],
     )
+    validate_codebook(book)
+    return book
 
 
 def save_codebook(book: DICodebook, path) -> None:

@@ -137,6 +137,17 @@ class TestTypicality:
         )
         assert typical_log_size(100, spec) == pytest.approx(expected)
 
+    def test_zero_letter_law(self):
+        # mean 0 puts all mass on count 0; one count of 1 in 3 blocks puts 1/3
+        # in the overflow bucket, beyond its eps/|support| = 0.2 tolerance
+        spec = TypicalSetSpec(eps=0.2, letter_laws=[0.0, 3.0], tail_mass=1e-12)
+        y_max, pmf = spec._tables[0]
+        assert y_max == 0 and pmf.tolist() == [1.0, 0.0]
+        blocks = np.array([[0, 3], [0, 2], [0, 4]])
+        assert typical_test(blocks, spec)
+        blocks[1, 0] = 1
+        assert not typical_test(blocks, spec)
+
     def test_degenerate_silent_channel_has_zero_size(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.0)
         spec = TypicalSetSpec(eps=0.2, letter_laws=np.array([0.0]), tail_mass=1e-12)
@@ -349,7 +360,7 @@ class TestErrorEstimation:
         # streams, the hashing or the Type I / Type II tally moves it
         code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
         res = estimate_dif_errors(code, [(0, 1), (2, 0), (0, 3), (1, 0)], trials=200, seed=5)
-        rows = json.dumps(res.rows(), sort_keys=True).encode()
+        rows = json.dumps(res.rows(None), sort_keys=True).encode()
         assert hashlib.sha256(rows).hexdigest() == \
             "8749cc0a452cee5c20074c5fba1039bfdbe5372b2c4c9090164c037274f97752"
         assert res.extras == {"atypical": 51}
@@ -358,7 +369,7 @@ class TestErrorEstimation:
         code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
         once = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
         twice = estimate_dif_errors(code, [(0, 1), (0, 1), (1, 0)], trials=200, seed=5)
-        assert twice.rows() == once.rows()
+        assert twice.rows(None) == once.rows(None)
         assert twice.extras["atypical"] == once.extras["atypical"]
 
     def test_pair_validation(self):

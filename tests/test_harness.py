@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dipc import decode_identify
+from dipc import ConstructionStrategy, PowerConstraints, construct_codebook, decode_identify
 from dipc.cli import main as cli_main
 from dipc.errors import ConfigError
 from dipc.harness import (
@@ -205,9 +205,9 @@ class TestDeterminism:
 class TestSimKinds:
     def test_di_sim_estimates_within_unit_interval(self):
         out = run(validate_config(di_config()))
-        result = out.payload["result"]
-        for est in list(result.type1.values()) + list(result.type2.values()):
-            assert 0.0 <= est.ci_low <= est.estimate <= est.ci_high <= 1.0
+        assert {row["metric"] for row in out.rows} == {"type1", "type2"}
+        for row in out.rows:
+            assert 0.0 <= row["ci_low"] <= row["estimate"] <= row["ci_high"] <= 1.0
 
     def test_dif_sim_smoke(self):
         cfg = validate_config(
@@ -224,12 +224,9 @@ class TestSimKinds:
             }
         )
         out = run(cfg)
-        result = out.payload["result"]
-        assert set(result.type1) == {0, 1}
-        assert set(result.type2) == {(0, 1), (1, 0)}
-        assert "inner_error" in result.extras
-        metrics = {row["metric"] for row in out.rows}
-        assert "inner_error" in metrics
+        keys = {(row["metric"], row["message_i"], row["message_j"]) for row in out.rows}
+        assert keys == {("type1", 0, None), ("type1", 1, None), ("type2", 0, 1),
+                        ("type2", 1, 0), ("inner_error", None, None)}
 
     def test_measures_check_rows(self):
         cfg = validate_config({"kind": "measures-check", "trials": 50, "master_seed": 1})
@@ -278,7 +275,7 @@ class TestResultFiles:
 class TestSerialization:
     def test_codebook_round_trip(self, tmp_path):
         out = run(validate_config(di_config()))
-        book = out.payload["codebook"]
+        book = out.codebook
         path = tmp_path / "book.json"
         serialize.save_codebook(book, path)
         loaded = serialize.load_codebook(path)
@@ -290,6 +287,30 @@ class TestSerialization:
     def test_codebook_unknown_schema(self):
         with pytest.raises(ValueError):
             serialize.codebook_from_dict({"schema": "dipc-codebook/99"})
+
+    MALFORMED_BOOKS = {
+        "no-codewords": r"codebook: missing fields \['codewords'\]",
+        "extra-power-key": r"power: missing or unknown fields \['mean'\]",
+        "above-peak": "codeword 0 violates the power constraints",
+        "duplicate": "codewords 0 and 1 are 0.000000 apart",
+    }
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_BOOKS))
+    def test_malformed_codebook_rejected(self, fault):
+        book = construct_codebook(12, serialize.channel_from_dict(CHANNEL),
+                                  PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
+                                  strategy=ConstructionStrategy(max_codewords=3), seed=5)
+        doc = serialize.codebook_to_dict(book)
+        if fault == "no-codewords":
+            del doc["codewords"]
+        elif fault == "extra-power-key":
+            doc["power"]["mean"] = 1.0
+        elif fault == "above-peak":
+            doc["codewords"][0] = [50.0] * len(doc["codewords"][0])
+        else:
+            doc["codewords"][1] = doc["codewords"][0]
+        with pytest.raises(ValueError, match=self.MALFORMED_BOOKS[fault]):
+            serialize.codebook_from_dict(doc)
 
 
 class TestCLI:
@@ -359,6 +380,14 @@ class TestCLI:
         cfg_path = self.write_config(tmp_path, bounds_config())
         assert cli_main(["bounds", "--config", cfg_path]) == 0
         assert (tmp_path / "envout" / "results.jsonl").exists()
+
+    def test_unwritable_meta_is_a_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "out" / "meta.json").mkdir(parents=True)
+        cfg_path = self.write_config(tmp_path, bounds_config())
+        assert cli_main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "runtime"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["bounds", "--config", str(tmp_path / "nope.json")])
