@@ -112,6 +112,13 @@ class TypicalSetSpec:
             tables.append((int(dist.support[-1]), np.append(dist.mass, dist.tail_bound)))
         return tables
 
+    @cached_property
+    def _flat(self):
+        """Caps y_max+1, first buckets, joined pmfs, typical_test's tolerances by count."""
+        caps = np.array([y_max + 1 for y_max, _ in self._tables])
+        offsets = np.concatenate([[0], np.cumsum(caps + 1)[:-1]])
+        return caps, offsets, np.concatenate([pmf for _, pmf in self._tables]), {}
+
 
 def typical_test(blocks, spec: TypicalSetSpec) -> bool:
     """Letter typicality: at each in-block position the empirical frequency
@@ -131,15 +138,17 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
     count = blocks.shape[0]
     if count == 0:
         raise ValueError("need at least one block")
-    for k, (y_max, pmf) in enumerate(spec._tables):
-        values = np.minimum(blocks[:, k], y_max + 1)
-        freq = np.bincount(values, minlength=y_max + 2) / count
-        support_size = y_max + 1
-        slack = TYPICALITY_GUARD_SIGMAS * np.sqrt(pmf * (1.0 - pmf) / count)
-        tol = spec.eps * pmf + spec.eps / support_size + slack
-        if np.any(np.abs(freq - pmf) > tol):
-            return False
-    return True
+    caps, offsets, pmf, tolerances = spec._flat
+    values = np.minimum(blocks, caps)
+    if values.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    freq = np.bincount((values + offsets).ravel(), minlength=pmf.size) / count
+    if count not in tolerances:
+        tolerances[count] = np.concatenate([
+            spec.eps * mass + spec.eps / (y_max + 1)
+            + TYPICALITY_GUARD_SIGMAS * np.sqrt(mass * (1.0 - mass) / count)
+            for y_max, mass in spec._tables])
+    return not np.any(np.abs(freq - pmf) > tolerances[count])
 
 
 def typical_log_size(n: int, spec: TypicalSetSpec) -> float:
@@ -166,22 +175,26 @@ class HashFamily:
         if not 1 <= self.hash_range <= self.num_messages:
             raise ValueError("need 1 <= hash_range <= num_messages")
 
-
-def _canonical_block_bytes(blocks: np.ndarray) -> bytes:
-    blocks = np.ascontiguousarray(blocks, dtype="<u8")
-    return blocks.shape[0].to_bytes(8, "little") + blocks.shape[1].to_bytes(8, "little") \
-        + blocks.tobytes()
+    @cached_property
+    def _keyed(self):
+        """BLAKE2b keyed with the master seed, copied for every hash."""
+        return hashlib.blake2b(digest_size=16,
+                               key=int(self.master_seed).to_bytes(16, "little", signed=True))
 
 
 def hash_message(index: int, blocks, family: HashFamily) -> int:
-    """Hash value in [1, hash_range] for (message, shared block string)."""
+    """Hash value in [1, hash_range] for (message, shared block string): the
+    keyed BLAKE2b of the index (16 bytes), the row and column counts (8 bytes
+    each, all little-endian) and the blocks as C-ordered ``<u8``."""
     if not 0 <= index < family.num_messages:
         raise IndexError(f"message index {index} outside [0, {family.num_messages})")
-    blocks = np.asarray(blocks)
-    h = hashlib.blake2b(digest_size=16,
-                        key=int(family.master_seed).to_bytes(16, "little", signed=True))
+    blocks = np.ascontiguousarray(blocks, dtype="<u8")
+    if blocks.ndim != 2:
+        raise ValueError(f"blocks must be 2-D, got shape {blocks.shape}")
+    h = family._keyed.copy()
     h.update(int(index).to_bytes(16, "little"))
-    h.update(_canonical_block_bytes(blocks))
+    h.update(np.array(blocks.shape, dtype="<u8"))
+    h.update(blocks)
     return 1 + int.from_bytes(h.digest(), "little") % family.hash_range
 
 
@@ -250,15 +263,18 @@ def dif_power_fits(n: int, memory: int, hash_range: int, peak: float,
     return worst <= (n + math.ceil(math.sqrt(n))) * constraints.average + 1e-9
 
 
-def _ml_decode(y_window: np.ndarray, intensities: np.ndarray) -> int:
-    """Most likely codeword row index (0-based) for one output window."""
-    y = np.asarray(y_window, dtype=float)
+def _ml_table(intensities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log mu, row totals) of an intensity table, the pair _ml_decode scores with."""
     with np.errstate(divide="ignore"):
-        log_mu = np.log(intensities)
+        return np.log(intensities), intensities.sum(axis=1)
+
+
+def _ml_decode(y_window: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> int:
+    """Most likely codeword row index (0-based) for one output window."""
+    log_mu, totals = table
     # y * log(mu) only where y > 0: zero-count slots add 0, never 0 * log 0.
-    terms = np.multiply(y, log_mu, out=np.zeros(log_mu.shape), where=y > 0)
-    scores = terms.sum(axis=1) - intensities.sum(axis=1)
-    return int(np.argmax(scores))
+    terms = np.multiply(y_window, log_mu, out=np.zeros(log_mu.shape), where=y_window > 0)
+    return int(np.argmax(terms.sum(axis=1) - totals))
 
 
 @dataclass(frozen=True)
@@ -299,6 +315,11 @@ class DIFCode:
             mu = effective_intensity(np.concatenate([pilot_x, c]), self.params)
             rows.append(mu[self.n :])
         return np.stack(rows)
+
+    @cached_property
+    def phase2_table(self):
+        """:func:`_ml_table` of :attr:`phase2_intensities`."""
+        return _ml_table(self.phase2_intensities)
 
 
 def build_dif_code(
@@ -354,15 +375,13 @@ def _receive(y, blocks, code: DIFCode) -> int | None:
     string is atypical, else the ML decode of the phase-2 window."""
     if not typical_test(blocks, code.typ):
         return None
-    return _ml_decode(y[code.n :], code.phase2_intensities) + 1
+    return _ml_decode(y[code.n :], code.phase2_table) + 1
 
 
 def dif_encode(index: int, code: DIFCode, seed: int):
     """Run the encoder side once: pilot through the channel, feedback, hash,
     inner transmission.  Returns the full output record (length m + memory)
     and a transcript; an atypical string is recorded, not raised."""
-    if not 0 <= index < code.hashes.num_messages:
-        raise IndexError(f"message index {index} outside [0, {code.hashes.num_messages})")
     y, blocks, value = _encode_with_rngs(index, code, spawn(seed, "phase1"), spawn(seed, "phase2"))
     return y, DIFTranscript(blocks=blocks, typical=typical_test(blocks, code.typ), hash_value=value)
 
@@ -407,6 +426,7 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
             if decoded is None:
                 atypical += 1
                 continue
+            blocks = np.ascontiguousarray(blocks, dtype="<u8")  # hashed as is, once per trial
             for k, j in enumerate(tested):
                 accepts[k] += decoded == hash_message(j, blocks, code.hashes)
         return rejects, accepts, {"atypical": atypical}
@@ -425,7 +445,7 @@ def estimate_inner_error(code: DIFCode, trials: int, seed: int) -> ErrorEstimate
         rng = spawn(seed, "inner-error", t)
         value = int(rng.integers(size)) + 1
         y2 = rng.poisson(code.phase2_intensities[value - 1])
-        if _ml_decode(y2, code.phase2_intensities) + 1 != value:
+        if _ml_decode(y2, code.phase2_table) + 1 != value:
             errors += 1
     return ErrorEstimate(errors, trials)
 

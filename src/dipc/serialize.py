@@ -28,9 +28,19 @@ def channel_to_dict(params: ChannelParams) -> dict:
     }
 
 
+def _check_object(name: str, data, required=()) -> None:
+    """ValueError naming ``name`` unless ``data`` is an object with the required fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {type(data).__name__}")
+    missing = sorted(set(required) - set(data))
+    if missing:
+        raise ValueError(f"{name}: missing fields {missing}")
+
+
 def channel_from_dict(data: dict) -> ChannelParams:
     """The channel of a JSON object; slot_duration and dark_rate default to
-    1.0 and 0.0.  Raises ValueError on inconsistent fields."""
+    1.0 and 0.0.  Raises ValueError on missing or inconsistent fields."""
+    _check_object("channel", data, ("memory", "hit_probs"))
     return ChannelParams(
         memory=data["memory"],
         hit_probs=np.asarray(data["hit_probs"], dtype=float),
@@ -54,11 +64,11 @@ def codebook_to_dict(book: DICodebook) -> dict:
 
 def codebook_from_dict(data: dict) -> DICodebook:
     """The codebook of a JSON document, checked by :func:`validate_codebook`."""
+    _check_object("codebook", data)
     if data.get("schema") != CODEBOOK_SCHEMA:
         raise ValueError(f"unknown codebook schema {data.get('schema')!r}")
-    missing = sorted(_CODEBOOK_FIELDS - set(data))
-    if missing:
-        raise ValueError(f"codebook: missing fields {missing}")
+    _check_object("codebook", data, _CODEBOOK_FIELDS)
+    _check_object("power", data["power"])
     odd = sorted(set(data["power"]) ^ {"peak", "average"}, key=str)
     if odd:
         raise ValueError(f"power: missing or unknown fields {odd}")

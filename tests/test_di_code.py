@@ -181,6 +181,28 @@ class TestConstruction:
                                strategy=ConstructionStrategy(separation_scale=scale))
 
 
+class TestConverseCheck:
+    """A constructed book holds at most 2**packing_log_count_bound codewords
+    of its own geometry: the sphere-packing converse, loose at desk scale but
+    broken by a packer that accepts too close a pair or by a wrong radius."""
+
+    @pytest.mark.parametrize("n, levels, max_codewords, size", [
+        (7, (0.0, 10.0), 100000, 35),  # the di-pack book: all C(7, 3) on/off patterns
+        (24, None, 40, 40),  # default levels (0, peak/2, peak)
+    ], ids=["di-pack", "default-levels"])
+    def test_size_within_packing_bound(self, n, levels, max_codewords, size):
+        book = construct_codebook(
+            n, FIG2, POWER, 0.1, 0.1,
+            strategy=ConstructionStrategy(levels=levels, max_codewords=max_codewords), seed=7,
+        )
+        assert book.num_codewords == size
+        geometry = power_ball_radius(n, FIG2, POWER, FIG2.memory, book.packing_radius)
+        bits = packing_log_count_bound(geometry)
+        assert book.num_codewords <= 2**bits
+        if n == 7:
+            assert 38.5 < bits < 39.5  # log2(35) = 5.1 bits against about 39
+
+
 def reference_codewords(n, params, constraints, strategy, seed):
     """Codewords of the per-row packing loop (one norm per accepted codeword,
     one candidate at a time) at Type I and Type II budgets 0.1, stopping after

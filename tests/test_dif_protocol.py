@@ -26,7 +26,7 @@ from dipc import (
     typical_log_size,
     typical_test,
 )
-from dipc.dif_protocol import TypicalSetSpec, dif_power_fits, letter_laws, _ml_decode
+from dipc.dif_protocol import TypicalSetSpec, dif_power_fits, letter_laws, _ml_decode, _ml_table
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -199,7 +199,7 @@ class TestInnerCode:
     def test_size_one_decodes_to_one(self):
         code = build_inner_code(25, 1, peak=5.0, seed=0)
         y = np.zeros(code.length + FIG2.memory)
-        assert _ml_decode(y, standalone_intensities(code)) == 0
+        assert _ml_decode(y, _ml_table(standalone_intensities(code))) == 0
 
     def test_codewords_distinct_and_balanced(self):
         code = build_inner_code(64, 8, peak=5.0, seed=1)
@@ -217,16 +217,17 @@ class TestInnerCode:
         code = build_inner_code(64, 8, peak=10.0, seed=2)
         mu = standalone_intensities(code)
         for row in range(8):
-            assert _ml_decode(np.round(mu[row]), mu) == row
+            assert _ml_decode(np.round(mu[row]), _ml_table(mu)) == row
 
     def test_two_codewords_low_error(self):
         mu = standalone_intensities(build_inner_code(64, 2, peak=10.0, seed=3))
+        table = _ml_table(mu)
         errors = 0
         trials = 10000
         for t in range(trials):
             rng = spawn(77, t)
             row = int(rng.integers(2))
-            errors += _ml_decode(rng.poisson(mu[row]), mu) != row
+            errors += _ml_decode(rng.poisson(mu[row]), table) != row
         assert errors / trials < 0.01
 
 
@@ -296,7 +297,7 @@ class TestProtocolRoundTrip:
         code = self.code()
         for seed in range(40):
             y, transcript = dif_encode(7, code, seed=seed)
-            decoded = _ml_decode(y[code.n :], code.phase2_intensities) + 1
+            decoded = _ml_decode(y[code.n :], code.phase2_table) + 1
             if transcript.typical and decoded == transcript.hash_value:
                 assert dif_identify(7, y, code)
             else:
@@ -313,7 +314,7 @@ class TestProtocolRoundTrip:
         if transcript.typical:
             for other in (5, 9, 11):
                 expected = hash_message(other, transcript.blocks, code.hashes) == \
-                    _ml_decode(y[code.n :], code.phase2_intensities) + 1
+                    _ml_decode(y[code.n :], code.phase2_table) + 1
                 assert dif_identify(other, y, code) == expected
 
     def test_index_validated(self):
@@ -405,7 +406,7 @@ class TestDarkRateZero:
                 log_mu = np.log(mu)
                 terms = np.where(y[None, :] > 0, y[None, :] * log_mu, 0.0)
             scores = terms.sum(axis=1) - mu.sum(axis=1)
-            assert _ml_decode(y, mu) == int(np.argmax(scores))
+            assert _ml_decode(y, _ml_table(mu)) == int(np.argmax(scores))
 
     def test_protocol_runs_without_warnings(self):
         code = self.code()
@@ -490,3 +491,141 @@ class TestHashUniformity:
         counts = np.bincount(draws, minlength=17)[1:]
         _, p_value = chisquare(counts)
         assert p_value > 0.01
+
+
+def reference_typical_test(blocks, spec):
+    """The per-position typicality loop: one bincount and one tolerance per
+    in-block position, stopping at the first atypical position."""
+    count = blocks.shape[0]
+    for k, (y_max, pmf) in enumerate(spec._tables):
+        values = np.minimum(blocks[:, k], y_max + 1)
+        freq = np.bincount(values, minlength=y_max + 2) / count
+        slack = 4.0 * np.sqrt(pmf * (1.0 - pmf) / count)
+        tol = spec.eps * pmf + spec.eps / (y_max + 1) + slack
+        if np.any(np.abs(freq - pmf) > tol):
+            return False
+    return True
+
+
+class TestTypicalityEquivalence:
+    """typical_test's one-bincount form against the per-position loop."""
+
+    COUNTS = (1, 3, 50, 300)
+
+    def cases(self, eps, seed):
+        rng = np.random.default_rng(seed)
+        for case in range(40):
+            laws = rng.uniform(0.0, 8.0, size=int(rng.integers(1, 5)))
+            if case % 4 == 0:
+                laws[rng.integers(laws.size)] = 0.0
+            spec = TypicalSetSpec(eps=eps, letter_laws=laws, tail_mass=1e-12)
+            for count in self.COUNTS:  # every count on one spec: one tolerance each
+                scale = rng.choice([0.5, 1.0, 1.0, 1.5])
+                blocks = rng.poisson(laws * scale, size=(count, laws.size))
+                if case % 5 == 0:
+                    blocks[rng.integers(count), rng.integers(laws.size)] = 10**6  # overflow
+                yield spec, blocks
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0, math.inf])
+    def test_same_decision_as_per_position_loop(self, eps):
+        outcomes = set()
+        for spec, blocks in self.cases(eps, seed=int(min(eps, 9) * 100)):
+            expected = math.isinf(eps) or reference_typical_test(blocks, spec)
+            assert typical_test(blocks, spec) == expected
+            outcomes.add(expected)
+        if not math.isinf(eps):
+            assert outcomes == {True, False}
+            assert set(spec._flat[3]) == set(self.COUNTS)
+
+    def test_true_law_decisions_match_at_every_count(self):
+        spec = TypicalSetSpec.from_channel(FIG2, 10.0, eps=0.2)
+        rng = np.random.default_rng(8)
+        for count in (1, 3, 50, 300, 50, 1):  # cached tolerances reused
+            for _ in range(25):
+                blocks = rng.poisson(spec.letter_laws, size=(count, 3))
+                assert typical_test(blocks, spec) == reference_typical_test(blocks, spec)
+
+    def test_negative_count_rejected(self):
+        spec = TypicalSetSpec.from_channel(FIG2, 10.0, eps=0.2)
+        blocks = np.ones((4, 3), dtype=int)
+        blocks[2, 2] = -1
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            typical_test(blocks, spec)
+
+
+def reference_ml_decode(y, intensities):
+    """ML decode with log mu and the row totals computed on every call."""
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(intensities)
+    terms = np.multiply(y, log_mu, out=np.zeros(log_mu.shape), where=y > 0)
+    return int(np.argmax(terms.sum(axis=1) - intensities.sum(axis=1)))
+
+
+class TestCachedMLTable:
+    @pytest.mark.parametrize("params", [FIG2, TestDarkRateZero.SILENT], ids=["dark", "silent"])
+    def test_same_argmax_as_uncached_decode(self, params):
+        code = build_dif_code(64, params, peak=10.0, num_messages=8, hash_range=4, seed=2)
+        table = code.phase2_table
+        assert table is code.phase2_table  # computed once per code
+        np.testing.assert_array_equal(table[1], code.phase2_intensities.sum(axis=1))
+        for t in range(300):
+            rng = spawn(11, "ml", t)
+            y = rng.poisson(code.phase2_intensities[int(rng.integers(4))] * rng.uniform(0.3, 2))
+            assert _ml_decode(y, table) == reference_ml_decode(y, code.phase2_intensities)
+
+
+class TestHashLayout:
+    """hash_message is BLAKE2b keyed by the master seed (16 bytes, signed,
+    little-endian) over the index (16 bytes), the row and column counts
+    (8 bytes each) and the blocks as C-ordered little-endian uint64."""
+
+    FAMILY = HashFamily(master_seed=-12345, num_messages=2**130, hash_range=2**127)
+
+    @staticmethod
+    def independent(index, blocks, family):
+        rows = np.asarray(blocks)
+        h = hashlib.blake2b(digest_size=16,
+                            key=family.master_seed.to_bytes(16, "little", signed=True))
+        h.update(index.to_bytes(16, "little"))
+        h.update(rows.shape[0].to_bytes(8, "little") + rows.shape[1].to_bytes(8, "little"))
+        h.update(rows.astype("<u8").tobytes(order="C"))
+        return 1 + int.from_bytes(h.digest(), "little") % family.hash_range
+
+    def test_golden_value(self):
+        # taken before the keyed state was cached; a layout change moves it
+        blocks = np.arange(30).reshape(10, 3) % 7
+        assert hash_message(2**100 + 3, blocks, self.FAMILY) == \
+            35383990021219476947010034854211507993
+        small = HashFamily(master_seed=7, num_messages=64, hash_range=32)
+        assert hash_message(5, blocks, small) == 30
+
+    def test_every_array_form_hashes_its_values(self):
+        rng = np.random.default_rng(3)
+        big = rng.poisson(4.0, size=(20, 6))
+        forms = {
+            "int64": big[:, :3].copy(),
+            "uint64": big[:, :3].astype(np.uint64),
+            "big-endian": big[:, :3].astype(">i8"),
+            "sliced": big[::2, 1::2],
+            "fortran": np.asfortranarray(big[:, :3]),
+            "nested-list": big[:5, :3].tolist(),
+            "int32": big[:, :3].astype(np.int32),
+        }
+        for name, blocks in forms.items():
+            for index in (0, 17, 2**127 - 1):
+                assert hash_message(index, blocks, self.FAMILY) == \
+                    self.independent(index, blocks, self.FAMILY), name
+        assert hash_message(1, forms["sliced"], self.FAMILY) == \
+            hash_message(1, np.ascontiguousarray(forms["sliced"]), self.FAMILY)
+
+    def test_keyed_state_is_not_consumed(self):
+        family = HashFamily(master_seed=2**126, num_messages=10, hash_range=7)
+        blocks = np.ones((3, 3), dtype=int)
+        first = [hash_message(i, blocks, family) for i in range(10)]
+        assert first == [hash_message(i, blocks, family) for i in range(10)]
+        assert first == [self.independent(i, blocks, family) for i in range(10)]
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 3)])
+    def test_blocks_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="blocks must be 2-D"):
+            hash_message(0, np.zeros(shape, dtype=int), self.FAMILY)

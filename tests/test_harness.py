@@ -312,6 +312,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match=self.MALFORMED_BOOKS[fault]):
             serialize.codebook_from_dict(doc)
 
+    # documents that raised bare AttributeError, KeyError or TypeError
+    MISSHAPEN_BOOKS = {
+        "list-document": (lambda doc: [doc], "codebook: expected a JSON object, got list"),
+        "channel-without-memory": (
+            lambda doc: {**doc, "channel": {k: v for k, v in doc["channel"].items()
+                                            if k != "memory"}},
+            r"channel: missing fields \['memory'\]"),
+        "channel-list": (lambda doc: {**doc, "channel": [1]},
+                         "channel: expected a JSON object, got list"),
+        "power-number": (lambda doc: {**doc, "power": 5}, "power: expected a JSON object, got int"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(MISSHAPEN_BOOKS))
+    def test_misshapen_codebook_names_the_field(self, fault, tmp_path):
+        book = construct_codebook(12, serialize.channel_from_dict(CHANNEL),
+                                  PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
+                                  strategy=ConstructionStrategy(max_codewords=3), seed=5)
+        mutate, message = self.MISSHAPEN_BOOKS[fault]
+        doc = mutate(serialize.codebook_to_dict(book))
+        with pytest.raises(ValueError, match=message):
+            serialize.codebook_from_dict(doc)
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            serialize.load_codebook(path)
+
 
 class TestCLI:
     def write_config(self, tmp_path, cfg):
