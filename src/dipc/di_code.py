@@ -29,6 +29,9 @@ FULL_PAIR_LIMIT = 64
 PAIR_SAMPLE_FACTOR = 64
 # Packing stops after this many times the codebook size of consecutive rejections.
 STOP_REJECTIONS_PER_WORD = 200
+# Cells (candidates x codewords x slots) in one packing screen's temporary:
+# 512 KiB of float64.  Larger batches add resident memory, not speed.
+_SCREEN_CELLS = 1 << 16
 
 
 def memory_scaling(n: int, kappa: float) -> int:
@@ -169,6 +172,18 @@ def validate_codebook(book: DICodebook) -> None:
             )
 
 
+def _nearest_sq_distances(pool: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Squared distance from each batch row to its nearest pool row.
+
+    Summed as ``np.linalg.norm(pool - s, axis=1)`` sums, so the square root of
+    an entry is that norm's minimum, bit for bit (sqrt is monotone and
+    correctly rounded).
+    """
+    diff = pool[None, :, :] - batch[:, None, :]
+    np.square(diff, out=diff)
+    return np.add.reduce(diff, axis=2).min(axis=1)
+
+
 def construct_codebook(
     n: int,
     params: ChannelParams,
@@ -204,30 +219,44 @@ def construct_codebook(
     base = np.repeat(levels, counts)
 
     budget = n * constraints.average
+    most = strategy.max_codewords
     accepted: list[np.ndarray] = []
     # Accepted sqrt-codewords as the first len(accepted) rows; doubles when full.
-    pool = np.empty((min(strategy.max_codewords, 64), n))
+    pool = np.empty((min(most, 64), n))
     rejections = 0
     candidate = 0
-    while len(accepted) < strategy.max_codewords:
-        rng = spawn(seed, "codebook", candidate)
-        candidate += 1
-        x = rng.permutation(base)
-        total = x.sum()
-        if total > budget:
-            x = x * (budget / total)
-        s = reparameterize(x, params)
+    while len(accepted) < most:
         k = len(accepted)
-        if k and np.linalg.norm(pool[:k] - s, axis=1).min() < needed:
-            rejections += 1
-            if rejections >= STOP_REJECTIONS_PER_WORD * k:
-                break
-            continue
-        if k == pool.shape[0]:
-            pool = np.concatenate([pool, np.empty_like(pool)])
-        pool[k] = s
-        accepted.append(x)
-        rejections = 0
+        # Candidates are drawn and screened in batches.  A batch can fill the
+        # book or reach the rejection stop only at its last candidate, so the
+        # candidates drawn are exactly those of a one-at-a-time loop.
+        size = max(1, min(most - k, STOP_REJECTIONS_PER_WORD * k - rejections,
+                          _SCREEN_CELLS // (max(k, 1) * n)))
+        xs = []
+        batch = np.empty((size, n))
+        for j in range(size):
+            x = spawn(seed, "codebook", candidate + j).permutation(base)
+            total = x.sum()
+            if total > budget:
+                x = x * (budget / total)
+            xs.append(x)
+            batch[j] = reparameterize(x, params)
+        candidate += size
+        nearest = _nearest_sq_distances(pool[:k], batch) if k else np.full(size, np.inf)
+        for x, s, d2 in zip(xs, batch, nearest):
+            kk = len(accepted)
+            if kk > k:  # also screen against codewords accepted in this batch
+                d2 = min(d2, _nearest_sq_distances(pool[k:kk], s[None])[0])
+            if math.sqrt(d2) < needed:
+                rejections += 1
+                continue
+            if kk == pool.shape[0]:
+                pool = np.concatenate([pool, np.empty_like(pool)])
+            pool[kk] = s
+            accepted.append(x)
+            rejections = 0
+        if rejections >= STOP_REJECTIONS_PER_WORD * len(accepted):
+            break
 
     if not accepted:
         raise ConstructionError(

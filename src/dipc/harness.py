@@ -476,11 +476,18 @@ def read_plot_data(path) -> list[dict]:
         ]
 
 
+# Files only some runs write.  A run deletes those it does not write, so a
+# reused output directory never mixes two runs' files.
+_KIND_FILES = ("codebook.json", "converse_trend.csv")
+
+
 def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
     """Persist a run: config.json, results.jsonl, summary.csv, meta.json,
     plus the codebook and plot tables.  Returns written paths.
 
     Everything except meta.json is a pure function of the effective config.
+    Of the kind-specific files, those this run does not write are deleted;
+    no other file in ``out_dir`` is touched.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -520,6 +527,10 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
         serialize.save_codebook(output.codebook, book_path)
         written["codebook"] = str(book_path)
 
+    kept = {Path(path).name for path in written.values()}
+    for name in _KIND_FILES:
+        if name not in kept:
+            (out / name).unlink(missing_ok=True)
     return written
 
 

@@ -21,8 +21,7 @@ from tracer import Tracer  # noqa: E402
 from dipc import harness  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_traced_counts_match_the_formulas(name):
+def traced_counts(name):
     raw = workloads.config(name, workloads.DEFAULT_SEED, trials=10)
     tracer = Tracer()
     tracer.install()
@@ -33,8 +32,23 @@ def test_traced_counts_match_the_formulas(name):
     report = tracer.report()
     counts = dict(report["counters"])
     counts.update({f"{key}.calls": stats[0] for key, stats in report["functions"].items()})
+    return raw, counts
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_counts_match_the_formulas(name):
+    raw, counts = traced_counts(name)
     codewords = workloads.WORKLOADS[name][1] or 0
     expected = workloads.expected_calls(raw, codewords, counts)
     mismatches = {key: (counts.get(key, 0), want) for key, want in expected.items()
                   if counts.get(key, 0) != want}
     assert not mismatches, f"traced (got, expected): {mismatches}"
+
+
+def test_di_pack_candidate_count_pinned():
+    # The formulas above take the candidate count from the trace itself, so a
+    # packing loop that drew extra candidates would still match them.
+    _, counts = traced_counts("di-pack")
+    assert counts["di_code.construct.candidates"] == 7175
+    assert counts["seeding.spawn.calls"] == 7245
+    assert counts["channel.effective_intensity.calls"] == 7210

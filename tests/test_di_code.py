@@ -23,6 +23,7 @@ from dipc import (
     reparameterize,
     validate_codebook,
 )
+from dipc import di_code
 from dipc.di_code import _ordered_pair, _statistics
 from dipc.seeding import spawn
 
@@ -204,9 +205,9 @@ class TestConverseCheck:
 
 
 def reference_codewords(n, params, constraints, strategy, seed):
-    """Codewords of the per-row packing loop (one norm per accepted codeword,
-    one candidate at a time) at Type I and Type II budgets 0.1, stopping after
-    200 times the codebook size of consecutive rejections."""
+    """Codewords and candidate count of the per-row packing loop (one norm per
+    accepted codeword, one candidate at a time) at Type I and Type II budgets
+    0.1, stopping after 200 times the codebook size of consecutive rejections."""
     radius = min_distance_radius(0.1, 0.1)
     needed = 2.0 * radius * strategy.separation_scale
     levels = strategy.levels
@@ -238,14 +239,17 @@ def reference_codewords(n, params, constraints, strategy, seed):
         accepted.append(x)
         sqrt_accepted.append(s)
         rejections = 0
-    return np.stack(accepted)
+    return np.stack(accepted), candidate
 
 
 class TestPackingEquivalence:
-    """The batched packing test accepts exactly the codewords the per-row loop did."""
+    """The batched packing screen draws exactly the candidates of the per-row
+    loop, in order, and accepts exactly its codewords."""
 
     CASES = {
         "balanced-streak-stop": (6, POWER, ConstructionStrategy(max_codewords=1000)),
+        # 35 codewords of 7 slots, then 200 * 35 rejections: more than one
+        # batch at the cell cap holds.
         "on-off-levels": (7, POWER, ConstructionStrategy(levels=(0.0, 10.0),
                                                          max_codewords=1000)),
         "wider-separation": (8, POWER, ConstructionStrategy(max_codewords=1000,
@@ -253,21 +257,55 @@ class TestPackingEquivalence:
         "average-rescaled": (6, PowerConstraints(peak=10.0, average=3.0),
                              ConstructionStrategy(max_codewords=1000, separation_scale=1.5)),
         "pool-growth-balanced": (12, POWER, ConstructionStrategy(max_codewords=150)),
+        "one-codeword": (6, POWER, ConstructionStrategy(max_codewords=1)),
+        "two-codewords": (6, POWER, ConstructionStrategy(max_codewords=2)),
+        "three-codewords": (6, POWER, ConstructionStrategy(max_codewords=3)),
+        "default-levels-n24": (24, POWER, ConstructionStrategy()),
     }
+
+    @staticmethod
+    def build(case, seed, monkeypatch):
+        """The case's codebook and the candidate indices it drew, in order."""
+        n, constraints, strategy = TestPackingEquivalence.CASES[case]
+        drawn = []
+
+        def counting_spawn(master, *path):
+            if path[0] == "codebook":
+                drawn.append(path[1])
+            return spawn(master, *path)
+
+        monkeypatch.setattr(di_code, "spawn", counting_spawn)
+        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, strategy=strategy, seed=seed)
+        return book, drawn
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_same_codewords_as_per_row_loop(self, case, seed):
+    def test_same_codewords_as_per_row_loop(self, case, seed, monkeypatch):
+        book, drawn = self.build(case, seed, monkeypatch)
         n, constraints, strategy = self.CASES[case]
-        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, strategy=strategy, seed=seed)
-        expected = reference_codewords(n, FIG2, constraints, strategy, seed)
+        expected, candidates = reference_codewords(n, FIG2, constraints, strategy, seed)
+        assert drawn == list(range(candidates))
         assert book.num_codewords == expected.shape[0]
         assert np.array_equal(book.codewords, expected)
 
-    def test_cases_cover_pool_growth(self):
-        n, constraints, strategy = self.CASES["pool-growth-balanced"]
-        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, strategy=strategy)
+    def test_cases_cover_pool_growth(self, monkeypatch):
+        book, _ = self.build("pool-growth-balanced", 0, monkeypatch)
         assert book.num_codewords > 64
+
+    def test_screen_stays_within_the_cell_cap(self, monkeypatch):
+        shapes = []
+        screen = di_code._nearest_sq_distances
+
+        def recording(pool, batch):
+            shapes.append((batch.shape[0], pool.shape[0]))
+            return screen(pool, batch)
+
+        monkeypatch.setattr(di_code, "_nearest_sq_distances", recording)
+        book, _ = self.build("on-off-levels", 7, monkeypatch)
+        n = book.block_length
+        assert max(size * rows * n for size, rows in shapes) <= di_code._SCREEN_CELLS
+        assert any(size > 1 and size == di_code._SCREEN_CELLS // (rows * n)
+                   for size, rows in shapes)
 
 
 class TestDecoder:

@@ -415,6 +415,22 @@ class TestCLI:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "runtime"
 
+    def test_reused_out_dir_drops_the_previous_kind_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        runs = [("di-sim", di_config(), {"codebook.json"}),
+                ("bounds", bounds_config(kappa=0.25, n_grid=[64]), {"converse_trend.csv"}),
+                ("bounds", bounds_config(), set())]
+        for kind, cfg, own in runs:
+            cfg_path = self.write_config(tmp_path, cfg)
+            assert cli_main([kind, "--config", cfg_path, "--out", str(out)]) == 0
+            capsys.readouterr()
+            names = {path.name for path in out.iterdir()}
+            assert names == {"config.json", "results.jsonl", "summary.csv", "meta.json",
+                             "notes.txt"} | own
+        assert (out / "notes.txt").read_text() == "mine"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["bounds", "--config", str(tmp_path / "nope.json")])
         assert code == 2
