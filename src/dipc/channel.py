@@ -71,7 +71,7 @@ def _as_codeword(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("codeword must be a nonempty 1-D sequence of release rates")
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("release rates must be nonnegative")
     return x
 

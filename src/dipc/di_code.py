@@ -19,9 +19,8 @@ import numpy as np
 
 from .channel import (ChannelParams, PowerConstraints, as_counts, effective_intensity,
                       validate_power)
-from .errors import ConstructionError
 from .measures import min_distance_radius
-from .results import SimResult, tally
+from .results import SimResult, sender_map, tally
 from .seeding import spawn
 
 # Above this codebook size the ordered Type II pair matrix is subsampled.
@@ -197,7 +196,9 @@ def construct_codebook(
 
     Candidates are balanced permutations of the level alphabet, rescaled
     onto the average-power budget when it binds, and accepted when they keep
-    the minimum pairwise distance.  Deterministic in ``seed``.
+    the minimum pairwise distance.  The first candidate has nothing to keep
+    apart from, so a book holds at least one codeword however tight the
+    budget.  Deterministic in ``seed``.
     """
     if n < 1:
         raise ValueError("block length must be positive")
@@ -258,10 +259,6 @@ def construct_codebook(
         if rejections >= STOP_REJECTIONS_PER_WORD * len(accepted):
             break
 
-    if not accepted:
-        raise ConstructionError(
-            "no codeword accepted; power budget too tight for the required separation"
-        )
     book = DICodebook(
         codewords=np.stack(accepted),
         params=params,
@@ -320,11 +317,15 @@ def calibrate_threshold(
         raise ValueError("target error rate must be nonnegative")
 
     n = book.block_length
+    intensities = book.intensities  # computed here, not once per thread
     stats = np.empty((book.num_codewords, trials))
-    for i in range(book.num_codewords):
+
+    def sample(i):
         rng = spawn(seed, "calibrate", i)
-        outputs = rng.poisson(book.intensities[i], size=(trials, n + book.params.memory))
-        stats[i] = _statistics(outputs, book.intensities[i], n)
+        outputs = rng.poisson(intensities[i], size=(trials, n + book.params.memory))
+        stats[i] = _statistics(outputs, intensities[i], n)
+
+    sender_map(sample, range(book.num_codewords))
 
     # Per message the smallest observed value leaving at most
     # floor(target * trials) samples above it, then the max over messages.
@@ -365,18 +366,19 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
         sampling = "subsampled"
 
     n = book.block_length
+    intensities = book.intensities  # computed here, not once per thread
 
     def decide(i, tested):
         rng = spawn(seed, "estimate", i)
-        outputs = rng.poisson(book.intensities[i], size=(trials, n + book.params.memory))
+        outputs = rng.poisson(intensities[i], size=(trials, n + book.params.memory))
         counts = outputs[:, :n].astype(float)  # converted once, tested many times
-        own = _statistics(counts, book.intensities[i], n)
+        own = _statistics(counts, intensities[i], n)
         return (int((own > book.threshold).sum()),
-                [int((_statistics(counts, book.intensities[j], n) <= book.threshold).sum())
+                [int((_statistics(counts, intensities[j], n) <= book.threshold).sum())
                  for j in tested],
                 {})
 
-    return tally(range(count), pairs, trials, seed, decide,
+    return tally(sender_map, range(count), pairs, trials, seed, decide,
                  {"pair_sampling": sampling, "pairs": len(pairs), "threshold": book.threshold})
 
 

@@ -431,7 +431,9 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
                 accepts[k] += decoded == hash_message(j, blocks, code.hashes)
         return rejects, accepts, {"atypical": atypical}
 
-    return tally(sorted({i for i, _ in pairs}), pairs, trials, seed, decide, {"atypical": 0})
+    # Serial: the per-trial loop is Python code holding the interpreter lock.
+    return tally(map, sorted({i for i, _ in pairs}), pairs, trials, seed, decide,
+                 {"atypical": 0})
 
 
 def estimate_inner_error(code: DIFCode, trials: int, seed: int) -> ErrorEstimate:

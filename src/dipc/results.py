@@ -4,6 +4,7 @@ Type I / Type II tally both identification codes are measured with."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 
@@ -78,26 +79,89 @@ class SimResult:
                 for metric, i, j, est in estimates]
 
 
-def tally(senders, pairs, trials: int, seed: int, decide, extras: dict) -> SimResult:
+def sender_map(fn, senders) -> list:
+    """``[fn(s) for s in senders]``, with the senders spread over every CPU
+    this process may run on.
+
+    The calling thread and one helper thread per further available CPU (no
+    more threads than senders) take senders from one shared iterator.  numpy
+    releases the interpreter lock while it samples and runs ufuncs, so the
+    senders' array work overlaps; each sender derives its own streams, so the
+    results do not depend on which thread runs it.  Helpers run in a copy of
+    the caller's context, so ``np.errstate`` holds there too.  Results come
+    back in ``senders`` order.  The first exception is re-raised once the
+    senders already running have finished; no sender starts after it.
+    """
+    senders = list(senders)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call outside Linux and a few other systems
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(senders))
+    if workers <= 1:
+        return [fn(s) for s in senders]
+
+    import contextvars
+    import threading
+
+    results = [None] * len(senders)
+    jobs = iter(enumerate(senders))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work():
+        while True:
+            with lock:
+                job = None if errors else next(jobs, None)
+            if job is None:
+                return
+            k, sender = job
+            try:
+                results[k] = fn(sender)
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    errors.append(exc)
+                return
+
+    # Each helper adds a malloc arena, so the caller works too instead of waiting.
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def tally(map_senders, senders, pairs, trials: int, seed: int, decide,
+          extras: dict) -> SimResult:
     """Type I / Type II estimates over ordered (sent, tested) pairs.
 
     ``decide(sender, tested)`` runs ``trials`` transmissions of ``sender``,
     tests each against the sender and against every message of ``tested``
     (its distinct tested messages, in first-seen order, so a repeated pair is
     measured once), and returns (rejections of the sender, acceptances per
-    tested message, diagnostic counts).  It is called once per sender, in
-    ``senders`` order; the diagnostic counts are summed into ``extras``.
+    tested message, diagnostic counts).  It is called once per sender through
+    ``map_senders(fn, senders)``, which returns ``fn``'s results in
+    ``senders`` order: the builtin ``map``, or :func:`sender_map` when the
+    senders are safe to run concurrently.  The diagnostic counts are summed
+    into ``extras`` in ``senders`` order.
     """
     tested_by_sender: dict[int, dict[int, None]] = {}
     for i, j in pairs:
         tested_by_sender.setdefault(i, {})[j] = None
+    tested = {sender: list(tested_by_sender.get(sender, ())) for sender in senders}
     type1: dict[int, ErrorEstimate] = {}
     type2: dict[tuple[int, int], ErrorEstimate] = {}
-    for sender in senders:
-        tested = list(tested_by_sender.get(sender, ()))
-        rejections, acceptances, counts = decide(sender, tested)
+    outcomes = map_senders(lambda sender: decide(sender, tested[sender]), list(tested))
+    for (sender, tested_j), (rejections, acceptances, counts) in zip(tested.items(), outcomes):
         type1[sender] = ErrorEstimate(rejections, trials)
-        for j, accepted in zip(tested, acceptances):
+        for j, accepted in zip(tested_j, acceptances):
             type2[(sender, j)] = ErrorEstimate(accepted, trials)
         for name, count in counts.items():
             extras[name] += count

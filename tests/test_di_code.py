@@ -171,6 +171,11 @@ class TestConstruction:
             construct_codebook(8, FIG2, POWER, 0.1, 0.1,
                                strategy=ConstructionStrategy(levels=(0.0, 20.0)))
 
+    def test_budget_separating_no_pair_gives_one_codeword(self):
+        tight = PowerConstraints(peak=0.001, average=0.0001)
+        book = construct_codebook(3, FIG2, tight, 1e-6, 1e-6)
+        assert book.num_codewords == 1
+
     def test_budget_must_be_feasible(self):
         with pytest.raises(ValueError):
             construct_codebook(8, FIG2, POWER, 0.6, 0.5)

@@ -1,7 +1,10 @@
-"""Importing dipc and running a di-sim experiment load numpy, not scipy.
+"""Importing dipc and running a di-sim experiment load numpy, not scipy,
+and importing dipc loads no thread pool.
 
 scipy is imported only where a Poisson special function is evaluated, so a
-top-level scipy import anywhere in the package fails here.
+top-level scipy import anywhere in the package fails here.  The DI senders'
+threads are started with ``threading`` inside ``results.sender_map``, so
+``concurrent.futures`` stays out of the import and of set-up time.
 """
 
 import json
@@ -9,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import dipc, dipc.cli, dipc.harness
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")))
 dipc.harness.run(dipc.harness.validate_config(json.loads(sys.argv[2])))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
@@ -30,8 +36,18 @@ DI_SIM = {
 }
 
 
-def test_di_sim_loads_no_scipy():
+@pytest.fixture(scope="module")
+def loaded():
+    """(concurrent modules after the import, scipy modules after the run)."""
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), json.dumps(DI_SIM)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_di_sim_loads_no_scipy(loaded):
+    assert loaded[1] == []
+
+
+def test_import_loads_no_concurrent_futures(loaded):
+    assert loaded[0] == []
