@@ -14,6 +14,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -455,7 +458,7 @@ def emit_plot_data(rows: list[dict], path) -> None:
     exactly.  The header is the first row's keys, empty when there are no rows.
     """
     fieldnames = list(rows[0]) if rows else []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with serialize.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
@@ -476,56 +479,141 @@ def read_plot_data(path) -> list[dict]:
         ]
 
 
+# The result row schema: every row holds exactly the CSV_COLUMNS keys, and
+# every value is a str, int, float or None.  results.jsonl lists the keys
+# sorted, as json.dumps(row, sort_keys=True) does.
+_JSON_KEYS = tuple(sorted(CSV_COLUMNS))
+_JSON_PREFIXES = [("{" if k == 0 else ", ") + f'"{key}": ' for k, key in enumerate(_JSON_KEYS)]
+_CSV_ORDER = [_JSON_KEYS.index(key) for key in CSV_COLUMNS]
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _each_distinct(values, encode) -> list[str]:
+    """``[encode(v) for v in values]``, calling ``encode`` once per distinct value."""
+    texts = {value: encode(value) for value in set(values)}
+    return list(map(texts.__getitem__, values))
+
+
+def _floats(values):
+    # float.__repr__ is what json and csv both print.  0.0 and -0.0 are one
+    # dict key but print differently, so a column holding zeros prints each.
+    texts = (list(map(float.__repr__, values)) if 0.0 in values
+             else _each_distinct(values, float.__repr__))
+    return list(map(_JSON_NONFINITE.get, texts, texts)), texts
+
+
+def _ints(values):
+    texts = _each_distinct(values, int.__repr__)
+    return texts, texts
+
+
+def _nones(values):
+    return ["null"] * len(values), [""] * len(values)
+
+
+def _csv_field(text: str) -> str:
+    """csv's QUOTE_MINIMAL: quote a field holding the delimiter, the quote
+    character or a line break, and double its quote characters."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _strs(values):
+    return _each_distinct(values, encode_basestring_ascii), _each_distinct(values, _csv_field)
+
+
+_ENCODERS = {float: _floats, int: _ints, type(None): _nones, str: _strs}
+
+
+def _encode_column(values) -> tuple[list[str], list[str]]:
+    """The JSON and CSV texts of one column's values, the values of each
+    type encoded together."""
+    kinds = set(map(type, values))
+    unknown = kinds - _ENCODERS.keys()
+    if unknown:
+        raise TypeError(f"a result value must be a str, int, float or None,"
+                        f" not {unknown.pop().__name__}")
+    if len(kinds) == 1:
+        return _ENCODERS[kinds.pop()](values)
+    json_texts, csv_texts = [None] * len(values), [None] * len(values)
+    for kind in kinds:
+        at = [k for k, value in enumerate(values) if type(value) is kind]
+        for k, json_text, csv_text in zip(at, *_ENCODERS[kind]([values[k] for k in at])):
+            json_texts[k], csv_texts[k] = json_text, csv_text
+    return json_texts, csv_texts
+
+
+def _encode_rows(rows: list[dict]) -> tuple[list[str], list[str]]:
+    """The results.jsonl and summary.csv lines of one or more result rows.
+
+    Each line is byte for byte what ``json.dumps(row, sort_keys=True)`` and
+    ``csv.DictWriter`` (a None written as an empty cell) give, but every
+    value is formatted once for both files, a column at a time.  Raises
+    ValueError on a row with other keys and TypeError on a value of another
+    type.
+    """
+    if set(map(len, rows)) != {len(_JSON_KEYS)}:
+        raise ValueError(f"a result row must hold exactly the keys {list(CSV_COLUMNS)}")
+    columns = zip(*map(itemgetter(*_JSON_KEYS), rows))
+    json_columns, csv_columns = zip(*map(_encode_column, columns))
+    # each JSON line joins, per key, its constant prefix and the row's text
+    parts = [part for prefix, texts in zip(_JSON_PREFIXES, json_columns)
+             for part in (repeat(prefix), texts)]
+    json_lines = list(map("".join, zip(*parts, repeat("}\n"))))
+    csv_lines = [",".join(cells) + "\r\n" for cells in zip(*(csv_columns[k] for k in _CSV_ORDER))]
+    return json_lines, csv_lines
+
+
+# Rows encoded and written at a time: all rows' lines at once would raise a
+# di-sim run's peak memory by megabytes.
+_ROWS_PER_WRITE = 512
+
 # Files only some runs write.  A run deletes those it does not write, so a
 # reused output directory never mixes two runs' files.
 _KIND_FILES = ("codebook.json", "converse_trend.csv")
 
 
 def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
-    """Persist a run: config.json, results.jsonl, summary.csv, meta.json,
-    plus the codebook and plot tables.  Returns written paths.
+    """Persist a run: config.json, results.jsonl, summary.csv, plus the
+    codebook and plot tables.  Returns written paths.
 
-    Everything except meta.json is a pure function of the effective config.
-    Of the kind-specific files, those this run does not write are deleted;
-    no other file in ``out_dir`` is touched.
+    Everything written is a pure function of the effective config.  Each
+    file is replaced whole (:func:`serialize.atomic_open`).  meta.json is
+    deleted first, so that :func:`write_meta`, called once every file is
+    written, marks a complete run.  Of the kind-specific files, those this
+    run does not write are deleted; no other file in ``out_dir`` is touched.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = {}
-
-    config_path = out / "config.json"
-    config_path.write_bytes(output.config.canonical_bytes())
-    written["config"] = str(config_path)
-
+    (out / "meta.json").unlink(missing_ok=True)
+    written = {"config": str(out / "config.json"), "results": str(out / "results.jsonl"),
+               "summary": str(out / "summary.csv")}
     header = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "kind": output.config.kind,
         "config_digest": output.digest,
     }
-    results_path = out / "results.jsonl"
-    with open(results_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in output.rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    written["results"] = str(results_path)
-
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in output.rows:
-            writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in CSV_COLUMNS})
-    written["summary"] = str(summary_path)
+    rows = output.rows
+    # the rows first, so that a row the encoder rejects replaces no file
+    with serialize.atomic_open(written["results"], newline="") as results, \
+            serialize.atomic_open(written["summary"], newline="") as summary:
+        results.write(json.dumps(header, sort_keys=True) + "\n")
+        summary.write(",".join(CSV_COLUMNS) + "\r\n")
+        for start in range(0, len(rows), _ROWS_PER_WRITE):
+            json_lines, csv_lines = _encode_rows(rows[start:start + _ROWS_PER_WRITE])
+            results.writelines(json_lines)
+            summary.writelines(csv_lines)
+    with serialize.atomic_open(written["config"], newline="") as fh:
+        fh.write(output.config.canonical_bytes().decode())
 
     for name, table in output.tables.items():
-        table_path = out / f"{name}.csv"
-        emit_plot_data(table, table_path)
-        written[name] = str(table_path)
+        written[name] = str(out / f"{name}.csv")
+        emit_plot_data(table, written[name])
 
     if output.codebook is not None:
-        book_path = out / "codebook.json"
-        serialize.save_codebook(output.codebook, book_path)
-        written["codebook"] = str(book_path)
+        written["codebook"] = str(out / "codebook.json")
+        serialize.save_codebook(output.codebook, written["codebook"])
 
     kept = {Path(path).name for path in written.values()}
     for name in _KIND_FILES:
@@ -535,26 +623,36 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
 
 
 def write_meta(out_dir, started: float, finished: float) -> str:
-    """Timestamps and wall clock, kept out of the deterministic files."""
+    """Timestamps and wall clock, kept out of the deterministic files and
+    written last: a directory with meta.json holds one complete run."""
     meta = {
         "started_at": started,
         "finished_at": finished,
         "wall_clock_s": finished - started,
     }
     path = Path(out_dir) / "meta.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with serialize.atomic_open(path) as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return str(path)
 
 
 def read_results(path) -> tuple[dict, list[dict]]:
-    """Load a results.jsonl file, rejecting unknown schema versions."""
+    """Load a results.jsonl file, rejecting unknown schema versions and
+    lines that are not JSON objects."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"line {number}: expected a JSON object,"
+                                 f" got {type(record).__name__}")
+            records.append(record)
+    if not records:
         raise ValueError("empty results file")
-    header = lines[0]
+    header = records[0]
     if header.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(f"unknown result schema version {header.get('schema_version')!r}")
-    return header, lines[1:]
+    return header, records[1:]

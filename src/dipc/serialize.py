@@ -1,4 +1,5 @@
-"""JSON schema for codebooks and their channels.
+"""JSON schema for codebooks and their channels, and the one way dipc
+writes a file: whole, or not at all.
 
 A codebook document carries a schema tag; the loader rejects versions it
 does not know.  Float values round-trip exactly (json uses repr), so a
@@ -8,6 +9,9 @@ saved codebook reproduces the original decoder behavior bit for bit.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -85,8 +89,30 @@ def codebook_from_dict(data: dict) -> DICodebook:
     return book
 
 
+@contextmanager
+def atomic_open(path, newline=None):
+    """Open a UTF-8 text file that replaces ``path`` once the ``with`` block
+    completes.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``: a reader finds the old file or
+    the new one, never a part of either.  If the block raises, the temporary
+    file is removed and ``path`` is left as it was.  Nothing is flushed to
+    the disk (no fsync): this covers a failed run, not a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_codebook(book: DICodebook, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(codebook_to_dict(book), fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -1,6 +1,10 @@
+import csv
 import hashlib
+import io
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -10,16 +14,19 @@ from hypothesis import strategies as st
 from dipc import ConstructionStrategy, PowerConstraints, construct_codebook, decode_identify
 from dipc.cli import main as cli_main
 from dipc.errors import ConfigError
+from dipc import harness
 from dipc.harness import (
+    CSV_COLUMNS,
     OUT_DIR_ENV,
     emit_plot_data,
     read_plot_data,
     read_results,
     run,
     validate_config,
+    write_meta,
     write_outputs,
 )
-from dipc.results import ErrorEstimate, wilson_interval
+from dipc.results import ErrorEstimate, result_row, wilson_interval
 from dipc import serialize
 
 CHANNEL = {"memory": 2, "hit_probs": [0.6, 0.3, 0.1], "slot_duration": 1.0, "dark_rate": 0.1}
@@ -265,11 +272,189 @@ class TestResultFiles:
         with pytest.raises(ValueError):
             read_results(path)
 
+    HEADER = json.dumps({"config_digest": "d", "kind": "bounds", "schema_version": 1})
+
+    # documents whose non-object lines raised AttributeError or came back as rows
+    @pytest.mark.parametrize("lines, message", [
+        (["[1]"], "line 1: expected a JSON object, got list"),
+        ([HEADER, "", '{"metric": "kappa"}', "[1, 2]"], "line 4: expected a JSON object, got list"),
+        ([HEADER, '"row"'], "line 2: expected a JSON object, got str"),
+    ])
+    def test_non_object_line_rejected(self, tmp_path, lines, message):
+        path = tmp_path / "results.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_results(path)
+
     def test_summary_columns(self, tmp_path):
         out = run(validate_config(bounds_config()))
         files = write_outputs(out, tmp_path / "o")
         header = open(files["summary"]).readline().strip()
         assert header == "config_digest,metric,message_i,message_j,estimate,ci_low,ci_high,trials,seed"
+
+
+# Values of every type a result row may hold, at their edges: 128-bit
+# message indices, signed zeros, subnormals, non-finite floats, and strings
+# that csv must quote or json must escape.
+row_values = (
+    st.none()
+    | st.integers(-2**127, 2**128)
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e16, math.nan,
+                       math.inf, -math.inf])
+    | st.text(st.sampled_from(',"\r\n \'\\\x00\x7fé€😀') | st.characters(), max_size=8)
+)
+result_rows = st.lists(st.fixed_dictionaries({key: row_values for key in CSV_COLUMNS}),
+                       min_size=1, max_size=6)
+
+
+def reference_lines(rows):
+    """The lines the general-purpose json and csv writers give for ``rows``."""
+    json_lines, csv_lines = [], []
+    for row in rows:
+        json_lines.append(json.dumps(row, sort_keys=True) + "\n")
+        buffer = io.StringIO(newline="")
+        csv.DictWriter(buffer, fieldnames=CSV_COLUMNS).writerow(
+            {k: "" if v is None else v for k, v in row.items()})
+        csv_lines.append(buffer.getvalue())
+    return json_lines, csv_lines
+
+
+class TestRowEncoder:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(rows=result_rows)
+    def test_lines_match_json_and_csv(self, rows):
+        assert harness._encode_rows(rows) == reference_lines(rows)
+
+    @pytest.mark.parametrize("value", [True, np.float64(0.5), np.int64(3), [1], b"x"])
+    def test_other_value_types_rejected(self, value):
+        row = {key: None for key in CSV_COLUMNS}
+        rows = [dict(row), {**row, "estimate": value}]
+        with pytest.raises(TypeError, match=type(value).__name__):
+            harness._encode_rows(rows)
+
+    def test_other_keys_rejected(self):
+        row = {key: 1 for key in CSV_COLUMNS}
+        with pytest.raises(ValueError, match="exactly the keys"):
+            harness._encode_rows([row, {**row, "extra": 1}])
+
+    def test_files_span_several_writes(self, tmp_path):
+        config = validate_config(bounds_config())
+        rows = [result_row(config.digest(), "type2", k / 7, 3, 1000, k, k + 1, (0.0, k * 1e-3))
+                for k in range(2 * harness._ROWS_PER_WRITE + 1)]
+        files = write_outputs(harness.RunOutput(config, rows), tmp_path)
+        json_lines, csv_lines = reference_lines(rows)
+        with open(files["results"], encoding="utf-8", newline="") as fh:
+            assert fh.readlines()[1:] == json_lines
+        with open(files["summary"], encoding="utf-8", newline="") as fh:
+            assert fh.read() == ",".join(CSV_COLUMNS) + "\r\n" + "".join(csv_lines)
+
+    def test_run_rows_match_json_and_csv(self):
+        for cfg in (di_config(), dif_config(), bounds_config(kappa=0),
+                    {"kind": "measures-check", "trials": 5}):
+            rows = run(validate_config(cfg)).rows
+            assert harness._encode_rows(rows) == reference_lines(rows)
+
+
+# sha256 of every file write_outputs writes, taken before the row encoder
+# and the atomic writes replaced json.dumps, csv.DictWriter and in-place
+# writes.  The bench reference pins only summary.csv.
+GOLDEN = {
+    "di-sim": (di_config(), {
+        "config.json": "fc13d58d90324c1c6b8c1742f898435e823eba7e4eaa8bbcc06916a8e137a28a",
+        "results.jsonl": "2172ef01ab73fcb20790b84f19b4b3f906b4225dabf62f59430742dd7d3a9006",
+        "summary.csv": "bf91abe832e16d57c42ed7e69a3eefbbf38a5fe2b6b393482fa6b869e58542b9",
+        "codebook.json": "7266ba02c08304a02df0f7e7c9a7fe54842b49ce0dd38a02484757a3635f65a4",
+    }),
+    "dif-sim": (dif_config(), {
+        "config.json": "d63192def9d18fa640a1c52d59c31c77949ce6c2fee628abf69250bd277a4d37",
+        "results.jsonl": "bc282ca5182f12c796d684e260f3aa0cc335d2f2c3a86e235ddefa5009059141",
+        "summary.csv": "4432cff6b182114de372b2e4ed1a9f7d6f71c30df7643faa208267c24179b489",
+    }),
+    "bounds": (bounds_config(kappa=0.25, n_grid=[64, 256]), {
+        "config.json": "5c92a1c897998e2e3518c3ca9c3b491fb3c4a98df86a6bd46d322ad0a331900f",
+        "results.jsonl": "3de8d8bce229964d91edaa1c42e0a8b0d8484f38fb2b73b08e6d162a7dd44316",
+        "summary.csv": "4ad9bdf95963b60cc73a537c4ebbcf1e245295b1b3802ab71dfc2ecabd2960b5",
+        "converse_trend.csv": "d5be1111f39f4179e6c436e0d826b1cf9f5b58b6cde9be3fe0228703f33f378f",
+    }),
+}
+
+
+def file_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestWrittenFiles:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_golden_bytes(self, kind, tmp_path):
+        cfg, digests = GOLDEN[kind]
+        written = write_outputs(run(validate_config(cfg)), tmp_path)
+        assert {os.path.basename(path) for path in written.values()} == set(digests)
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in file_bytes(tmp_path).items()} == digests
+
+    @pytest.fixture(scope="class")
+    def two_runs(self):
+        return run(validate_config(di_config())), run(validate_config(di_config(master_seed=6)))
+
+    def rewrite(self, tmp_path, two_runs):
+        """(the old run's files, the new run's files, the directory holding
+        the complete old run, meta.json included) for a rewrite to fail in."""
+        old_run, new_run = two_runs
+        target, fresh = tmp_path / "target", tmp_path / "fresh"
+        write_outputs(old_run, target)
+        write_meta(target, 0.0, 1.0)
+        write_outputs(new_run, fresh)
+        return file_bytes(target), file_bytes(fresh), target
+
+    def check_whole(self, target, old, new):
+        now = file_bytes(target)
+        assert "meta.json" not in now
+        assert set(now) == set(old) - {"meta.json"}  # no temp file left behind
+        for name, data in now.items():
+            assert data in (old[name], new[name]), name
+        return now
+
+    # a di-sim write replaces config.json, results.jsonl, summary.csv, codebook.json
+    @pytest.mark.parametrize("fail_at", range(4))
+    def test_failed_replace_leaves_whole_files(self, tmp_path, two_runs, monkeypatch, fail_at):
+        old, new, target = self.rewrite(tmp_path, two_runs)
+        replaced = []
+
+        def replace(src, dst):
+            if len(replaced) == fail_at:
+                raise OSError("disk full")
+            replaced.append(os.path.basename(dst))
+            os.rename(src, dst)
+
+        monkeypatch.setattr(serialize.os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_outputs(two_runs[1], target)
+        now = self.check_whole(target, old, new)
+        renewed = [name for name in now if now[name] == new[name] != old[name]]
+        assert sorted(renewed) == sorted(replaced)
+
+    def test_failure_inside_a_file_leaves_the_old_file(self, tmp_path, two_runs, monkeypatch):
+        old, new, target = self.rewrite(tmp_path, two_runs)
+
+        def dump(doc, fh, **kwargs):
+            fh.write('{\n  "channel": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump)
+        with pytest.raises(OSError, match="disk full"):
+            write_outputs(two_runs[1], target)
+        now = self.check_whole(target, old, new)
+        assert now["codebook.json"] == old["codebook.json"]
+        assert now["results.jsonl"] == new["results.jsonl"]
+
+    def test_failed_encoding_writes_nothing(self, tmp_path, two_runs, monkeypatch):
+        old, new, target = self.rewrite(tmp_path, two_runs)
+        monkeypatch.setattr(harness, "_encode_rows", lambda rows: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            write_outputs(two_runs[1], target)
+        now = self.check_whole(target, old, new)
+        assert now == {name: data for name, data in old.items() if name != "meta.json"}
 
 
 class TestSerialization:
@@ -430,6 +615,20 @@ class TestCLI:
             assert names == {"config.json", "results.jsonl", "summary.csv", "meta.json",
                              "notes.txt"} | own
         assert (out / "notes.txt").read_text() == "mine"
+
+    def test_failed_run_in_a_reused_dir_leaves_no_meta(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = self.write_config(tmp_path, bounds_config())
+        assert cli_main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = file_bytes(out)
+        monkeypatch.setattr(harness, "_encode_rows", lambda rows: 1 / 0)
+        assert cli_main(["bounds", "--config", cfg_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "runtime", "message": "division by zero"}
+        assert file_bytes(out) == {name: data for name, data in before.items()
+                                   if name != "meta.json"}
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["bounds", "--config", str(tmp_path / "nope.json")])
