@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -26,18 +26,10 @@ from .di_code import (ConstructionStrategy, DICodebook, calibrate_threshold, con
                       estimate_errors)
 from .dif_protocol import build_dif_code, dif_power_fits, estimate_dif_errors, estimate_inner_error
 from .errors import ConfigError
-from .measures import (
-    DEFAULT_TAIL_MASS,
-    MAX_MEAN,
-    bhattacharyya,
-    poisson_bhattacharyya_sq,
-    poisson_entropy_approx,
-    poisson_entropy_exact,
-    poisson_pmf_truncated,
-    tv_distance,
-)
+from .measures import DEFAULT_TAIL_MASS, MAX_MEAN
 from .results import result_row
-from .seeding import spawn
+from .serialize import (_BUDGET, _LINK, _REQUIRED, _check, _integer, _is_int, _is_number, _list,
+                        _number, _problems)
 
 RESULT_SCHEMA_VERSION = 1
 OUT_DIR_ENV = "DIPC_OUT_DIR"
@@ -85,96 +77,16 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
-# Each kind's config is one field table, name -> (check, default).  A check
-# maps a value to its problems (an empty list when the value is fine).  The
-# default is _REQUIRED, None (an absent field stays absent), a constant, or a
-# function of the fields before it.  Values are stored as given, never
-# coerced, so the config digest is a function of the given values alone.
-_REQUIRED = object()
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    """An int or float, not a bool, not NaN, within the float range."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _check(test, what):
-    """Check that ``test(value)`` holds; otherwise the value must be ``what``."""
-    return lambda v: [] if test(v) else [f"must be {what}, got {v!r}"]
-
-
-def _integer(low, bits=63):
-    """An integer in [low, 2**bits); sizes and counts fit numpy's int64."""
-    return _check(lambda v: _is_int(v) and low <= v < 2**bits,
-                  f"an integer in [{low}, 2**{bits})")
-
-
-def _number(test, what):
-    return _check(lambda v: _is_number(v) and test(v), f"a number {what}")
-
-
-def _list(test, what):
-    return _check(lambda v: isinstance(v, list) and len(v) > 0 and all(test(x) for x in v),
-                  f"a nonempty list of {what}")
-
-
-def _object(table, build=None):
-    """Check a nested object against its field table, then report the
-    ValueError ``build`` raises on fields that do not fit together."""
-    def check(value):
-        if not isinstance(value, dict):
-            return ["must be an object"]
-        problems = _problems(table, value)
-        if not problems and build is not None:
-            try:
-                build(value)
-            except ValueError as exc:
-                problems.append(str(exc))
-        return problems
-    return check
-
-
-def _problems(table: dict, value: dict) -> list[str]:
-    """Unknown, missing and malformed fields of one object."""
-    unknown = sorted(set(value) - set(table), key=str)
-    problems = [f"unknown fields {unknown}"] if unknown else []
-    for name, (check, default) in table.items():
-        if name in value:
-            problems += [f"{name}: {problem}" for problem in check(value[name])]
-        elif default is _REQUIRED:
-            problems.append(f"{name}: required")
-    return problems
-
-
 # Most cells one array of a run may hold: 1 GiB as float64.
 _MAX_CELLS = 2**27
-_POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
-_BUDGET = _number(lambda v: 0 <= v < 1, "in [0, 1)")
 
-_CHANNEL = {
-    "memory": (_integer(0), _REQUIRED),
-    "hit_probs": (_list(lambda p: _is_number(p) and 0 <= p <= 1, "numbers in [0, 1]"), _REQUIRED),
-    "slot_duration": (_POSITIVE, None),
-    "dark_rate": (_number(lambda v: 0 <= v < math.inf, "in [0, inf)"), None),
-}
-_POWER = {"peak": (_POSITIVE, _REQUIRED), "average": (_POSITIVE, _REQUIRED)}
-
+# Each kind's config is one field table (see serialize), starting with these.
 _COMMON = {
     "kind": (lambda v: [], _REQUIRED),  # selects the table
     "master_seed": (_check(lambda v: _is_int(v) and -2**127 <= v < 2**127,
                            "a signed 128-bit integer"), 0),
     "out_dir": (_check(lambda v: isinstance(v, str), "a string"), None),
-}
-_LINK = {
-    "channel": (_object(_CHANNEL, build=serialize.channel_from_dict), _REQUIRED),
-    "power": (_object(_POWER), _REQUIRED),
+    **_LINK,
 }
 
 
@@ -204,22 +116,22 @@ _BUDGET_SUM = (lambda d: 0 < d["lambda1"] + d["lambda2"] < 1,
 _MEANS = (_means_fit, "power: channel.dark_rate + peak * channel.slot_duration must be"
                       f" at most {MAX_MEAN:g}")
 
-# kind -> (field table, cross-field rules).  A rule is (test, message); the
-# message is formatted with the effective config.  Rules see only configs
-# whose fields all passed their checks, with every default filled in.
+# kind -> (field table, cross-field rules besides _MEANS).  A rule is (test,
+# message); the message is formatted with the effective config.  Rules see
+# only configs whose fields all passed their checks, with defaults filled in.
 SCHEMAS = {
     "bounds": ({
-        **_COMMON, **_LINK,
+        **_COMMON,
         "kappa": (_BUDGET, _REQUIRED),
         "lambda1": (_BUDGET, 0.1),
         "lambda2": (_BUDGET, 0.1),
         "n_grid": (_list(lambda n: _is_int(n) and 2 <= n < 2**63, "integers in [2, 2**63)"), None),
     }, [
-        _BUDGET_SUM, _MEANS,
+        _BUDGET_SUM,
         (_converse_fits, "n_grid: the packing radius exceeds the power-ball radius at some n"),
     ]),
     "di-sim": ({
-        **_COMMON, **_LINK,
+        **_COMMON,
         "n": (_integer(1), _REQUIRED),
         "trials": (_integer(1), _REQUIRED),
         "lambda1": (_BUDGET, 0.1),
@@ -230,7 +142,7 @@ SCHEMAS = {
         "calibration_trials": (_integer(1000), lambda d: max(1000, d["trials"])),
         "calibration_target": (_BUDGET, lambda d: d["lambda1"]),
     }, [
-        _BUDGET_SUM, _MEANS,
+        _BUDGET_SUM,
         (lambda d: all(0 <= v <= d["power"]["peak"] for v in d.get("levels", ())),
          "levels: every value must lie in [0, power.peak={power[peak]}]"),
         # the largest array: one codeword's calibration or estimation draws
@@ -240,7 +152,7 @@ SCHEMAS = {
          f" {_MAX_CELLS:,}"),
     ]),
     "dif-sim": ({
-        **_COMMON, **_LINK,
+        **_COMMON,
         "n": (_integer(1), _REQUIRED),
         "trials": (_integer(1), _REQUIRED),
         "eps": (_number(lambda v: v > 0, "in (0, inf]"), 0.2),
@@ -248,14 +160,14 @@ SCHEMAS = {
         # the next power of two of 2/lambda2: collisions spend half the Type II budget
         "hash_range": (_integer(1), lambda d: 2 ** math.ceil(math.log2(2.0 / d["lambda2"]))),
         "num_messages": (_integer(1, bits=128), lambda d: 2 * d["hash_range"]),
+        # a sender's index is a signed 128-bit seed part of its streams
         "pairs": (_list(lambda p: isinstance(p, list) and len(p) == 2 and p[0] != p[1]
-                        and all(_is_int(v) and 0 <= v < 2**128 for v in p),
-                        "[sent, tested] message index pairs, sent != tested"),
+                        and all(_is_int(v) and 0 <= v < 2**b for v, b in zip(p, (127, 128))),
+                        "[sent, tested] index pairs in [0, 2**127) x [0, 2**128), sent != tested"),
                   lambda d: [[0, 1], [1, 0]]),
         "inner_error_trials": (_integer(1), lambda d: d["trials"]),
         "tail_mass": (_number(lambda v: 0 < v < 1, "in (0, 1)"), DEFAULT_TAIL_MASS),
     }, [
-        _MEANS,
         (lambda d: d["n"] > d["channel"]["memory"],
          "n: the pilot needs a full block, n >= channel.memory + 1, got {n}"),
         (lambda d: d["hash_range"] <= d["num_messages"],
@@ -273,11 +185,6 @@ SCHEMAS = {
          <= _MAX_CELLS and d["n"] <= _MAX_CELLS,
          f"n: hash_range * (ceil(sqrt(n)) + channel.memory) and n must be at most {_MAX_CELLS:,}"),
     ]),
-    "measures-check": ({
-        **_COMMON,
-        "trials": (_integer(1), 1000),
-        "mu_max": (_number(lambda v: 0 <= v <= MAX_MEAN, f"in [0, {MAX_MEAN:g}]"), 50.0),
-    }, []),
 }
 KINDS = tuple(SCHEMAS)
 
@@ -304,7 +211,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             data[name] = default(data) if callable(default) else default
         except ArithmeticError:  # e.g. 2/lambda2 overflows
             raise ConfigError([f"{name}: cannot be derived from the other fields"]) from None
-    violations = [message.format(**data) for test, message in rules if not test(data)]
+    violations = [message.format(**data) for test, message in (_MEANS, *rules) if not test(data)]
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(data)
@@ -330,14 +237,8 @@ def _run_bounds(config: ExperimentConfig) -> RunOutput:
     power = config.power
     report = bounds_mod.bound_report(data["kappa"], params, power.peak)
     digest = config.digest()
-    seed = config.master_seed
-    rows = [
-        result_row(digest, "kappa", report.kappa, seed),
-        result_row(digest, "di_lower", report.di_lower, seed),
-        result_row(digest, "di_upper", report.di_upper, seed),
-        result_row(digest, "dif_lower_exact", report.dif_lower_exact, seed),
-        result_row(digest, "dif_lower_asymptotic", report.dif_lower_asymptotic, seed),
-    ]
+    rows = [result_row(digest, name, value, config.master_seed)
+            for name, value in asdict(report).items()]
     tables = {}
     if "n_grid" in data:
         trend = []
@@ -404,45 +305,10 @@ def _run_dif_sim(config: ExperimentConfig) -> RunOutput:
     return RunOutput(config=config, rows=rows)
 
 
-def _run_measures_check(config: ExperimentConfig) -> RunOutput:
-    data = config.data
-    count = data["trials"]
-    mu_max = data["mu_max"]
-    rng = spawn(config.master_seed, "measures-check")
-    closed_gap = 0.0
-    sandwich_violation = 0.0
-    for _ in range(count):
-        mu1, mu2 = rng.uniform(0.0, mu_max, size=2)
-        q1 = poisson_pmf_truncated(mu1)
-        q2 = poisson_pmf_truncated(mu2)
-        overlap = bhattacharyya(q1, q2)
-        closed_gap = max(closed_gap, abs(overlap**2 - poisson_bhattacharyya_sq(mu1, mu2)))
-        tv = tv_distance(q1, q2)
-        slack = 1e-6
-        sandwich_violation = max(
-            sandwich_violation,
-            (1.0 - overlap) - tv - slack,
-            tv - math.sqrt(max(0.0, 1.0 - overlap**2)) - slack,
-            0.0,
-        )
-    gap10 = abs(poisson_entropy_exact(10.0) - poisson_entropy_approx(10.0))
-    gap100 = abs(poisson_entropy_exact(100.0) - poisson_entropy_approx(100.0))
-    digest = config.digest()
-    seed = config.master_seed
-    rows = [
-        result_row(digest, "bhattacharyya_closed_form_gap", closed_gap, seed, trials=count),
-        result_row(digest, "sandwich_violation", sandwich_violation, seed, trials=count),
-        result_row(digest, "entropy_approx_gap_mu10", gap10, seed),
-        result_row(digest, "entropy_approx_gap_mu100", gap100, seed),
-    ]
-    return RunOutput(config=config, rows=rows)
-
-
 _RUNNERS = {
     "bounds": _run_bounds,
     "di-sim": _run_di_sim,
     "dif-sim": _run_dif_sim,
-    "measures-check": _run_measures_check,
 }
 
 

@@ -1,5 +1,6 @@
-"""JSON schema for codebooks and their channels, and the one way dipc
-writes a file: whole, or not at all.
+"""The field tables that check every JSON document dipc reads, the JSON
+schema for codebooks and their channels, and the one way dipc writes a
+file: whole, or not at all.
 
 A codebook document carries a schema tag; the loader rejects versions it
 does not know.  Float values round-trip exactly (json uses repr), so a
@@ -9,7 +10,9 @@ saved codebook reproduces the original decoder behavior bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import os
+import reprlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -19,8 +22,78 @@ from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook, validate_codebook
 
 CODEBOOK_SCHEMA = "dipc-codebook/1"
-_CODEBOOK_FIELDS = {"channel", "power", "packing_radius", "type1_budget", "type2_budget",
-                    "threshold", "codewords"}
+
+# Every JSON document dipc reads (a config, a codebook) is checked against
+# one field table, name -> (check, default).  A check maps a value to its
+# problems (an empty list when the value is fine).  The default is
+# _REQUIRED, None (an absent field stays absent), a constant, or a function
+# of the fields before it.  Values are stored as given, never coerced, so a
+# config digest is a function of the given values alone.
+_REQUIRED = object()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """An int or float, not a bool, not NaN, within the float range."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check(test, what):
+    """Check that ``test(value)`` holds; otherwise the value must be ``what``.
+    The message abbreviates a long value: a codebook's rows run to tens of kB."""
+    return lambda v: [] if test(v) else [f"must be {what}, got {reprlib.repr(v)}"]
+
+
+def _integer(low, bits=63):
+    """An integer in [low, 2**bits); sizes and counts fit numpy's int64."""
+    return _check(lambda v: _is_int(v) and low <= v < 2**bits,
+                  f"an integer in [{low}, 2**{bits})")
+
+
+def _number(test, what):
+    return _check(lambda v: _is_number(v) and test(v), f"a number {what}")
+
+
+def _is_list(v, test) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(test(x) for x in v)
+
+
+def _list(test, what):
+    return _check(lambda v: _is_list(v, test), f"a nonempty list of {what}")
+
+
+def _object(table, build=None):
+    """Check a nested object against its field table, then report the
+    ValueError ``build`` raises on fields that do not fit together."""
+    def check(value):
+        if not isinstance(value, dict):
+            return ["must be an object"]
+        problems = _problems(table, value)
+        if not problems and build is not None:
+            try:
+                build(value)
+            except ValueError as exc:
+                problems.append(str(exc))
+        return problems
+    return check
+
+
+def _problems(table: dict, value: dict) -> list[str]:
+    """Unknown, missing and malformed fields of one object."""
+    unknown = sorted(set(value) - set(table), key=str)
+    problems = [f"unknown fields {unknown}"] if unknown else []
+    for name, (check, default) in table.items():
+        if name in value:
+            problems += [f"{name}: {problem}" for problem in check(value[name])]
+        elif default is _REQUIRED:
+            problems.append(f"{name}: required")
+    return problems
 
 
 def channel_to_dict(params: ChannelParams) -> dict:
@@ -32,25 +105,45 @@ def channel_to_dict(params: ChannelParams) -> dict:
     }
 
 
-def _check_object(name: str, data, required=()) -> None:
-    """ValueError naming ``name`` unless ``data`` is an object with the required fields."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{name}: expected a JSON object, got {type(data).__name__}")
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise ValueError(f"{name}: missing fields {missing}")
-
-
 def channel_from_dict(data: dict) -> ChannelParams:
-    """The channel of a JSON object; slot_duration and dark_rate default to
-    1.0 and 0.0.  Raises ValueError on missing or inconsistent fields."""
-    _check_object("channel", data, ("memory", "hit_probs"))
+    """The channel of a table-checked JSON object; slot_duration and dark_rate
+    default to 1.0 and 0.0.  Raises ValueError on inconsistent fields."""
     return ChannelParams(
         memory=data["memory"],
         hit_probs=np.asarray(data["hit_probs"], dtype=float),
         slot_duration=data.get("slot_duration", 1.0),
         dark_rate=data.get("dark_rate", 0.0),
     )
+
+
+_POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
+_NONNEGATIVE = _number(lambda v: 0 <= v < math.inf, "in [0, inf)")
+_BUDGET = _number(lambda v: 0 <= v < 1, "in [0, 1)")
+
+_CHANNEL = {
+    "memory": (_integer(0), _REQUIRED),
+    "hit_probs": (_list(lambda p: _is_number(p) and 0 <= p <= 1, "numbers in [0, 1]"), _REQUIRED),
+    "slot_duration": (_POSITIVE, None),
+    "dark_rate": (_NONNEGATIVE, None),
+}
+_POWER = {"peak": (_POSITIVE, _REQUIRED), "average": (_POSITIVE, _REQUIRED)}
+# the fields of every config and codebook that describe the link
+_LINK = {
+    "channel": (_object(_CHANNEL, build=channel_from_dict), _REQUIRED),
+    "power": (_object(_POWER), _REQUIRED),
+}
+
+_CODEBOOK = {
+    "schema": (lambda v: [], _REQUIRED),  # checked first
+    **_LINK,
+    "packing_radius": (_NONNEGATIVE, _REQUIRED),
+    "type1_budget": (_BUDGET, _REQUIRED),
+    "type2_budget": (_BUDGET, _REQUIRED),
+    "threshold": (_check(_is_number, "a number"), _REQUIRED),
+    "codewords": (_check(lambda v: _is_list(v, lambda row: _is_list(row, _is_number))
+                         and len(set(map(len, v))) == 1,
+                         "a nonempty list of equal-length nonempty lists of numbers"), _REQUIRED),
+}
 
 
 def codebook_to_dict(book: DICodebook) -> dict:
@@ -67,15 +160,14 @@ def codebook_to_dict(book: DICodebook) -> dict:
 
 
 def codebook_from_dict(data: dict) -> DICodebook:
-    """The codebook of a JSON document, checked by :func:`validate_codebook`."""
-    _check_object("codebook", data)
-    if data.get("schema") != CODEBOOK_SCHEMA:
+    """The codebook of a JSON document, checked against the codebook field
+    table and then by :func:`validate_codebook`.  Raises one ValueError
+    listing every malformed field."""
+    if isinstance(data, dict) and data.get("schema") != CODEBOOK_SCHEMA:
         raise ValueError(f"unknown codebook schema {data.get('schema')!r}")
-    _check_object("codebook", data, _CODEBOOK_FIELDS)
-    _check_object("power", data["power"])
-    odd = sorted(set(data["power"]) ^ {"peak", "average"}, key=str)
-    if odd:
-        raise ValueError(f"power: missing or unknown fields {odd}")
+    problems = _object(_CODEBOOK)(data)
+    if problems:
+        raise ValueError("codebook: " + "; ".join(problems))
     book = DICodebook(
         codewords=np.asarray(data["codewords"], dtype=float),
         params=channel_from_dict(data["channel"]),

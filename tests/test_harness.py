@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,9 +202,7 @@ class TestDeterminism:
         cfg = validate_config(bounds_config())
         out = run(cfg)
         files = write_outputs(out, tmp_path / "o")
-        import hashlib
-
-        digest = hashlib.sha256(open(files["config"], "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(files["config"]).read_bytes()).hexdigest()
         assert digest == out.digest
         header, _ = read_results(files["results"])
         assert header["config_digest"] == digest
@@ -235,13 +234,12 @@ class TestSimKinds:
         assert keys == {("type1", 0, None), ("type1", 1, None), ("type2", 0, 1),
                         ("type2", 1, 0), ("inner_error", None, None)}
 
-    def test_measures_check_rows(self):
-        cfg = validate_config({"kind": "measures-check", "trials": 50, "master_seed": 1})
-        out = run(cfg)
-        values = {row["metric"]: row["estimate"] for row in out.rows}
-        assert values["bhattacharyya_closed_form_gap"] <= 1e-6
-        assert values["sandwich_violation"] == 0.0
-        assert values["entropy_approx_gap_mu10"] < 0.01
+    def test_largest_sent_and_tested_indices_run(self):
+        top = 2**127 - 1
+        out = run(validate_config(dif_config(num_messages=2**128 - 1, trials=5,
+                                             pairs=[[top, 2**128 - 2]])))
+        assert {(row["metric"], row["message_i"], row["message_j"]) for row in out.rows} == {
+            ("type1", top, None), ("type2", top, 2**128 - 2), ("inner_error", None, None)}
 
 
 class TestPlotData:
@@ -289,7 +287,7 @@ class TestResultFiles:
     def test_summary_columns(self, tmp_path):
         out = run(validate_config(bounds_config()))
         files = write_outputs(out, tmp_path / "o")
-        header = open(files["summary"]).readline().strip()
+        header = Path(files["summary"]).read_text().splitlines()[0]
         assert header == "config_digest,metric,message_i,message_j,estimate,ci_low,ci_high,trials,seed"
 
 
@@ -350,8 +348,7 @@ class TestRowEncoder:
             assert fh.read() == ",".join(CSV_COLUMNS) + "\r\n" + "".join(csv_lines)
 
     def test_run_rows_match_json_and_csv(self):
-        for cfg in (di_config(), dif_config(), bounds_config(kappa=0),
-                    {"kind": "measures-check", "trials": 5}):
+        for cfg in (di_config(), dif_config(), bounds_config(kappa=0)):
             rows = run(validate_config(cfg)).rows
             assert harness._encode_rows(rows) == reference_lines(rows)
 
@@ -457,6 +454,12 @@ class TestWrittenFiles:
         assert now == {name: data for name, data in old.items() if name != "meta.json"}
 
 
+def small_book():
+    return construct_codebook(12, serialize.channel_from_dict(CHANNEL),
+                              PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
+                              strategy=ConstructionStrategy(max_codewords=3), seed=5)
+
+
 class TestSerialization:
     def test_codebook_round_trip(self, tmp_path):
         out = run(validate_config(di_config()))
@@ -474,17 +477,15 @@ class TestSerialization:
             serialize.codebook_from_dict({"schema": "dipc-codebook/99"})
 
     MALFORMED_BOOKS = {
-        "no-codewords": r"codebook: missing fields \['codewords'\]",
-        "extra-power-key": r"power: missing or unknown fields \['mean'\]",
+        "no-codewords": "codebook: codewords: required",
+        "extra-power-key": r"codebook: power: unknown fields \['mean'\]",
         "above-peak": "codeword 0 violates the power constraints",
         "duplicate": "codewords 0 and 1 are 0.000000 apart",
     }
 
     @pytest.mark.parametrize("fault", sorted(MALFORMED_BOOKS))
     def test_malformed_codebook_rejected(self, fault):
-        book = construct_codebook(12, serialize.channel_from_dict(CHANNEL),
-                                  PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
-                                  strategy=ConstructionStrategy(max_codewords=3), seed=5)
+        book = small_book()
         doc = serialize.codebook_to_dict(book)
         if fault == "no-codewords":
             del doc["codewords"]
@@ -497,23 +498,47 @@ class TestSerialization:
         with pytest.raises(ValueError, match=self.MALFORMED_BOOKS[fault]):
             serialize.codebook_from_dict(doc)
 
+    # wrong-typed or ragged fields, which loaded or raised an error not naming the field
+    WRONG_TYPED_BOOKS = {
+        "threshold-string": (lambda doc: {**doc, "threshold": "x"}, "codebook: threshold: "),
+        "memory-string": (lambda doc: {**doc, "channel": {**doc["channel"], "memory": "2"}},
+                          "codebook: channel: memory: "),
+        "peak-string": (lambda doc: {**doc, "power": {**doc["power"], "peak": "10"}},
+                        "codebook: power: peak: "),
+        "radius-null": (lambda doc: {**doc, "packing_radius": None}, "codebook: packing_radius: "),
+        "codeword-string": (lambda doc: {**doc, "codewords": [["x"] + row[1:]
+                                                              for row in doc["codewords"]]},
+                            "codebook: codewords: "),
+        "codewords-ragged": (lambda doc: {**doc, "codewords": [row[:k + 1] for k, row
+                                                               in enumerate(doc["codewords"])]},
+                             "codebook: codewords: "),
+        # the message shows at most 6 rows of 6 values: a whole 96x96 book is tens of kB
+        "codewords-96x96-strings": (lambda doc: {**doc, "codewords": [["x"] * 96] * 96},
+                                    "codebook: codewords: "),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(WRONG_TYPED_BOOKS))
+    def test_wrong_typed_field_named(self, fault):
+        mutate, message = self.WRONG_TYPED_BOOKS[fault]
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            serialize.codebook_from_dict(mutate(serialize.codebook_to_dict(small_book())))
+        assert len(str(err.value)) < 1000
+
     # documents that raised bare AttributeError, KeyError or TypeError
     MISSHAPEN_BOOKS = {
-        "list-document": (lambda doc: [doc], "codebook: expected a JSON object, got list"),
+        "list-document": (lambda doc: [doc], "codebook: must be an object"),
         "channel-without-memory": (
             lambda doc: {**doc, "channel": {k: v for k, v in doc["channel"].items()
                                             if k != "memory"}},
-            r"channel: missing fields \['memory'\]"),
+            "codebook: channel: memory: required"),
         "channel-list": (lambda doc: {**doc, "channel": [1]},
-                         "channel: expected a JSON object, got list"),
-        "power-number": (lambda doc: {**doc, "power": 5}, "power: expected a JSON object, got int"),
+                         "codebook: channel: must be an object"),
+        "power-number": (lambda doc: {**doc, "power": 5}, "codebook: power: must be an object"),
     }
 
     @pytest.mark.parametrize("fault", sorted(MISSHAPEN_BOOKS))
     def test_misshapen_codebook_names_the_field(self, fault, tmp_path):
-        book = construct_codebook(12, serialize.channel_from_dict(CHANNEL),
-                                  PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
-                                  strategy=ConstructionStrategy(max_codewords=3), seed=5)
+        book = small_book()
         mutate, message = self.MISSHAPEN_BOOKS[fault]
         doc = mutate(serialize.codebook_to_dict(book))
         with pytest.raises(ValueError, match=message):
@@ -654,7 +679,6 @@ MALFORMED = {
     "hash-range-above-messages": dif_config(hash_range=16, num_messages=8),
     "tail-mass-above-one": dif_config(tail_mass=2),
     "inner-error-trials-zero": dif_config(inner_error_trials=0),
-    "mu-max-negative": {"kind": "measures-check", "mu_max": -1},
     "master-seed-bool": di_config(master_seed=True),
     "calibration-target-above-one": di_config(calibration_target=5),
     # sizes a run could not allocate: hash_range derives to 2**101, n-slot draws
@@ -665,7 +689,8 @@ MALFORMED = {
     # Poisson means whose truncated law misses total mass 1 by more than 1e-9
     "dif-mean-above-cap": dif_config(channel={"memory": 0, "hit_probs": [1.0]},
                                      power={"peak": 8.7e5, "average": 8.7e5}),
-    "mu-max-above-cap": {"kind": "measures-check", "mu_max": 1e6},
+    # a sender's streams take its index as a signed 128-bit seed part
+    "dif-sent-index-2**127": dif_config(num_messages=2**128 - 1, pairs=[[2**127, 0]]),
 }
 
 
@@ -698,8 +723,6 @@ class TestSchema:
         "dif-sim": ({"kind": "dif-sim", "channel": dict(CHANNEL), "power": dict(POWER),
                      "n": 30, "trials": 60},
                     "b2c4795c0c3827a8724772a66f5c9b51509ec34aa23f18cacbcdecdc1861931e"),
-        "measures-check": ({"kind": "measures-check"},
-                           "847aa7c12c45f660f9489b1e1ac3378dcf8d0574b9857e5646a455dfb0fb6f0b"),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINNED))
@@ -733,7 +756,6 @@ SMALL = {
     "bounds": bounds_config(n_grid=[4, 16]),
     "di-sim": di_config(n=6, trials=20, levels=[0.0, 5.0, 10.0]),
     "dif-sim": dif_config(n=12, trials=10, inner_error_trials=10, pairs=[[0, 1]]),
-    "measures-check": {"kind": "measures-check", "trials": 5, "mu_max": 5.0},
 }
 COMMON_FIELDS = ["kind", "master_seed", "out_dir"]
 LINK_FIELDS = ["channel", "power"] + [f"channel.{k}" for k in CHANNEL] + \
@@ -746,7 +768,6 @@ FIELDS = {
     "dif-sim": COMMON_FIELDS + LINK_FIELDS + [
         "n", "trials", "eps", "lambda2", "hash_range", "num_messages", "pairs",
         "inner_error_trials", "tail_mass"],
-    "measures-check": COMMON_FIELDS + ["trials", "mu_max"],
 }
 # Values a field may take: plausible ones, so that mutated configs often pass
 # and run, and malformed ones.  Sizes stay at most 20 so that a run is quick.
