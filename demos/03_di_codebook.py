@@ -30,11 +30,11 @@ n, seed = 32, 7
 
 book = construct_codebook(n, channel, power, 0.1, 0.1,
                           strategy=ConstructionStrategy(max_codewords=12), seed=seed)
-geometry = power_ball_radius(n, channel, power, channel.memory, book.packing_radius)
+ball = power_ball_radius(n, channel, power, channel.memory)
 print(f"constructed {book.num_codewords} codewords of length {n}")
 print(f"required sqrt-domain separation 2r = {2*book.packing_radius:.3f}")
-print(f"power ball radius l = {geometry.ball_radius:.2f}; packing ceiling "
-      f"{packing_log_count_bound(geometry):.0f} bits")
+print(f"power ball radius l = {ball:.2f}; packing ceiling "
+      f"{packing_log_count_bound(n, ball, book.packing_radius):.0f} bits")
 print(f"achieved rate {di_rate(book.num_codewords, n):.4f} "
       f"(log2 N / (n log2 n))\n")
 

@@ -10,6 +10,8 @@ at rate about 1/M, no matter how many messages exist; that is the feedback
 advantage.
 """
 
+import math
+
 import numpy as np
 
 from dipc import (
@@ -29,8 +31,8 @@ code = build_dif_code(n=300, params=channel, peak=5.0, num_messages=64,
                       hash_range=16, eps=0.2,
                       constraints=PowerConstraints(peak=5.0, average=5.0), seed=9)
 
-print(f"phase 1: {code.pilot.block_count} pilot blocks of length "
-      f"{channel.memory + 1}; phase 2: {code.inner.length} slots for "
+print(f"phase 1: {math.ceil(code.n / (channel.memory + 1))} pilot blocks of length "
+      f"{channel.memory + 1}; phase 2: {code.inner.shape[1]} slots for "
       f"{code.hashes.hash_range} hash values\n")
 
 y, transcript = dif_encode(index=5, code=code, seed=31)

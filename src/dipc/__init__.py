@@ -33,7 +33,6 @@ from .measures import (
 from .di_code import (
     ConstructionStrategy,
     DICodebook,
-    PackingGeometry,
     calibrate_threshold,
     construct_codebook,
     decode_identify,
@@ -49,13 +48,10 @@ from .dif_protocol import (
     DIFCode,
     DIFTranscript,
     HashFamily,
-    InnerCode,
-    PilotSpec,
     TypicalSetSpec,
     blockize,
     build_dif_code,
     build_inner_code,
-    build_pilot,
     collision_bound_check,
     dif_encode,
     dif_identify,

@@ -48,8 +48,6 @@ class ConverseBound:
     bits: float
     normalized: float
     slack_bits: float
-    ball_radius: float
-    packing_radius: float
 
 
 def converse_log_count(
@@ -69,8 +67,7 @@ def converse_log_count(
     """
     memory = memory_scaling(n, kappa)
     radius = min_distance_radius(type1_budget, type2_budget)
-    geometry = power_ball_radius(n, params, constraints, memory, radius)
-    bits = packing_log_count_bound(geometry)
+    bits = packing_log_count_bound(n, power_ball_radius(n, params, constraints, memory), radius)
     norm = bits / (n * math.log2(n))
     slack = bits - (1.0 + kappa) / 2.0 * n * math.log2(n)
     return ConverseBound(
@@ -79,8 +76,6 @@ def converse_log_count(
         bits=bits,
         normalized=norm,
         slack_bits=slack,
-        ball_radius=geometry.ball_radius,
-        packing_radius=radius,
     )
 
 

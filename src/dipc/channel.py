@@ -48,7 +48,7 @@ class ChannelParams:
         if np.any(probs < 0) or np.any(probs > 1):
             raise ValueError("hit probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"hit probabilities must sum to 1, got {probs.sum()!r}")
+            raise ValueError(f"hit probabilities must sum to 1, got {float(probs.sum())}")
         if self.slot_duration <= 0:
             raise ValueError("slot_duration must be positive")
         if self.dark_rate < 0:

@@ -56,23 +56,14 @@ def reparameterize(x, params: ChannelParams) -> np.ndarray:
     return np.sqrt(effective_intensity(x, params)[: x.size])
 
 
-@dataclass(frozen=True)
-class PackingGeometry:
-    """Radii of the power ball and of the packing spheres, in sqrt-intensity units."""
-
-    n: int
-    ball_radius: float
-    packing_radius: float
-
-
 def power_ball_radius(
     n: int,
     params: ChannelParams,
     constraints: PowerConstraints,
     memory: int,
-    packing_radius: float,
-) -> PackingGeometry:
-    """Smallest ball containing every admissible reparametrized codeword.
+) -> float:
+    """Radius of the smallest ball containing every admissible reparametrized
+    codeword, in sqrt-intensity units.
 
     The average and peak constraints give balls of squared radii
     n*(dark + avg*memory*T_s) and n*(dark + peak*memory*T_s); codewords must
@@ -81,22 +72,16 @@ def power_ball_radius(
     if memory < 1:
         raise ValueError("memory must be at least 1 for the power-ball bound")
     rate = min(constraints.average, constraints.peak)
-    return PackingGeometry(
-        n=n,
-        ball_radius=math.sqrt(n * params.dark_rate + n * rate * memory * params.slot_duration),
-        packing_radius=packing_radius,
-    )
+    return math.sqrt(n * params.dark_rate + n * rate * memory * params.slot_duration)
 
 
-def packing_log_count_bound(geometry: PackingGeometry) -> float:
+def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -> float:
     """Sphere-packing ceiling on the codebook size, in bits: n * log2(2l/r)."""
-    r = geometry.packing_radius
-    l = geometry.ball_radius
-    if not r > 0:
+    if not packing_radius > 0:
         raise ValueError("packing radius must be positive")
-    if r > l:
-        raise ValueError(f"packing radius {r} exceeds ball radius {l}")
-    return geometry.n * math.log2(2.0 * l / r)
+    if packing_radius > ball_radius:
+        raise ValueError(f"packing radius {packing_radius} exceeds ball radius {ball_radius}")
+    return n * math.log2(2.0 * ball_radius / packing_radius)
 
 
 @dataclass

@@ -14,9 +14,12 @@ probability about 1/M, so Type II errors are paid for by hash range rather
 than block length, which is what lifts the code size to the
 double-exponential scale.
 
-Cross-phase interference is modeled exactly: intensities come from the
-concatenated pilot + transmission input, so a truncated final pilot block
-leaks into the phase-2 window just as the channel law dictates.
+A :class:`DIFCode` holds the pilot as its n-slot input array (``pilot``) and
+the inner code as a (hash_range, ceil(sqrt(n))) array of codewords
+(``inner``), one row per hash value.  Cross-phase interference is modeled
+exactly: intensities come from the concatenated pilot + transmission input,
+so a truncated final pilot block leaks into the phase-2 window just as the
+channel law dictates.
 """
 
 from __future__ import annotations
@@ -47,33 +50,6 @@ def letter_laws(params: ChannelParams, peak: float) -> np.ndarray:
 def letter_entropy_bits(laws, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
     """Summed Poisson entropies (bits) of the per-position pilot laws."""
     return sum(poisson_entropy_exact(float(law), tail_mass) for law in laws)
-
-
-@dataclass(frozen=True)
-class PilotSpec:
-    """Phase-1 pilot: (peak, 0, ..., 0) blocks of length memory+1."""
-
-    n: int
-    memory: int
-    amplitude: float
-    block_count: int
-
-    def input_sequence(self) -> np.ndarray:
-        period = self.memory + 1
-        block = np.zeros(period)
-        block[0] = self.amplitude
-        return np.tile(block, self.block_count)[: self.n]
-
-
-def build_pilot(n: int, params: ChannelParams, peak: float) -> PilotSpec:
-    """Pilot covering n slots; a trailing partial block is truncated."""
-    if peak <= 0:
-        raise ValueError("pilot amplitude must be positive")
-    if n < 1:
-        raise ValueError("phase-1 length must be positive")
-    period = params.memory + 1
-    return PilotSpec(n=n, memory=params.memory, amplitude=peak,
-                     block_count=math.ceil(n / period))
 
 
 def blockize(y, memory: int) -> np.ndarray:
@@ -182,12 +158,17 @@ class HashFamily:
                                key=int(self.master_seed).to_bytes(16, "little", signed=True))
 
 
+def _check_index(index, num_messages: int) -> None:
+    """IndexError unless ``index`` is an integral message index in [0, num_messages)."""
+    if not (0 <= index < num_messages and index == int(index)):
+        raise IndexError(f"message index {index} is not an integer in [0, {num_messages})")
+
+
 def hash_message(index: int, blocks, family: HashFamily) -> int:
     """Hash value in [1, hash_range] for (message, shared block string): the
     keyed BLAKE2b of the index (16 bytes), the row and column counts (8 bytes
     each, all little-endian) and the blocks as C-ordered ``<u8``."""
-    if not 0 <= index < family.num_messages:
-        raise IndexError(f"message index {index} outside [0, {family.num_messages})")
+    _check_index(index, family.num_messages)
     blocks = np.ascontiguousarray(blocks, dtype="<u8")
     if blocks.ndim != 2:
         raise ValueError(f"blocks must be 2-D, got shape {blocks.shape}")
@@ -198,23 +179,10 @@ def hash_message(index: int, blocks, family: HashFamily) -> int:
     return 1 + int.from_bytes(h.digest(), "little") % family.hash_range
 
 
-@dataclass(frozen=True)
-class InnerCode:
-    """Short transmission code for the hash value: distinct peak/silence
-    patterns decoded by exact maximum likelihood over the full ISI window."""
-
-    length: int
-    codewords: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.codewords.shape[0]
-
-
-def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> InnerCode:
+def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndarray:
     """Draw ``hash_range`` distinct balanced on-off codewords of length
-    ceil(sqrt(n)); falls back to unbalanced patterns if the balanced pool is
-    too small."""
+    ceil(sqrt(n)), one per row; falls back to unbalanced patterns if the
+    balanced pool is too small."""
     if hash_range < 1:
         raise ValueError("hash range must be positive")
     length = math.ceil(math.sqrt(n))
@@ -242,8 +210,7 @@ def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> InnerCo
             continue
         seen.add(key)
         patterns.append(bits)
-    codewords = np.stack(patterns).astype(float) * peak
-    return InnerCode(length=length, codewords=codewords)
+    return np.stack(patterns).astype(float) * peak
 
 
 def inner_pulse_bound(n: int, hash_range: int) -> int:
@@ -282,37 +249,37 @@ class DIFCode:
     """The composed feedback code: pilot, typicality filter, hash family and
     inner transmission code over one channel."""
 
-    pilot: PilotSpec
+    n: int
+    peak: float
     typ: TypicalSetSpec
     hashes: HashFamily
-    inner: InnerCode
+    inner: np.ndarray
     params: ChannelParams
 
-    @property
-    def n(self) -> int:
-        return self.pilot.n
-
-    @property
-    def total_input_length(self) -> int:
-        return self.n + self.inner.length
+    @cached_property
+    def pilot(self) -> np.ndarray:
+        """Phase-1 input: (peak, 0, ..., 0) blocks of length memory+1 over
+        the n slots; a trailing partial block is truncated."""
+        block = np.zeros(self.params.memory + 1)
+        block[0] = self.peak
+        return np.tile(block, math.ceil(self.n / block.size))[: self.n]
 
     @property
     def output_length(self) -> int:
-        return self.total_input_length + self.params.memory
+        return self.n + self.inner.shape[1] + self.params.memory
 
     @cached_property
     def phase1_intensity(self) -> np.ndarray:
         """Intensity of the first n slots (pilot only reaches them)."""
-        return effective_intensity(self.pilot.input_sequence(), self.params)[: self.n]
+        return effective_intensity(self.pilot, self.params)[: self.n]
 
     @cached_property
     def phase2_intensities(self) -> np.ndarray:
         """Per hash value, intensity of slots n+1 .. m+K under the
         concatenated pilot + codeword input.  Shape (M, length + memory)."""
-        pilot_x = self.pilot.input_sequence()
         rows = []
-        for c in self.inner.codewords:
-            mu = effective_intensity(np.concatenate([pilot_x, c]), self.params)
+        for c in self.inner:
+            mu = effective_intensity(np.concatenate([self.pilot, c]), self.params)
             rows.append(mu[self.n :])
         return np.stack(rows)
 
@@ -339,18 +306,21 @@ def build_dif_code(
     peak and the pilot plus the worst-case inner codeword against the
     average budget (:func:`dif_power_fits`).
     """
+    if peak <= 0:
+        raise ValueError("pilot amplitude must be positive")
+    if n < 1:
+        raise ValueError("phase-1 length must be positive")
     if constraints is not None:
         if peak > constraints.peak:
             raise ValueError("pilot amplitude exceeds the peak constraint")
         if not dif_power_fits(n, params.memory, hash_range, peak, constraints):
             raise ValueError("the pilot plus the heaviest inner codeword exceed the"
                              " average budget")
-    pilot = build_pilot(n, params, peak)
     typ = TypicalSetSpec.from_channel(params, peak, eps, tail_mass=tail_mass)
     hashes = HashFamily(master_seed=seed, num_messages=num_messages,
                         hash_range=hash_range)
     inner = build_inner_code(n, hash_range, peak, seed)
-    return DIFCode(pilot=pilot, typ=typ, hashes=hashes, inner=inner, params=params)
+    return DIFCode(n=n, peak=peak, typ=typ, hashes=hashes, inner=inner, params=params)
 
 
 @dataclass(frozen=True)
@@ -390,6 +360,7 @@ def dif_identify(index: int, y, code: DIFCode) -> bool:
     """Verifier for "was message ``index`` sent?": reject atypical strings,
     otherwise ML-decode the phase-2 window and compare hash values.  Counts
     must be nonnegative integers; integral floats are accepted."""
+    _check_index(index, code.hashes.num_messages)
     y = as_counts(y)
     if y.ndim != 1 or y.size != code.output_length:
         raise ValueError(f"output length must be {code.output_length}, got {y.size}")
@@ -442,7 +413,7 @@ def estimate_inner_error(code: DIFCode, trials: int, seed: int) -> ErrorEstimate
     if trials < 1:
         raise ValueError("trials must be positive")
     errors = 0
-    size = code.inner.size
+    size = code.inner.shape[0]
     for t in range(trials):
         rng = spawn(seed, "inner-error", t)
         value = int(rng.integers(size)) + 1

@@ -241,21 +241,11 @@ def _run_bounds(config: ExperimentConfig) -> RunOutput:
             for name, value in asdict(report).items()]
     tables = {}
     if "n_grid" in data:
-        trend = []
-        for n in data["n_grid"]:
-            cb = bounds_mod.converse_log_count(
-                n, data["kappa"], params, power, data["lambda1"], data["lambda2"]
-            )
-            trend.append(
-                {
-                    "n": cb.n,
-                    "memory": cb.memory,
-                    "bits": cb.bits,
-                    "normalized": cb.normalized,
-                    "slack_bits": cb.slack_bits,
-                }
-            )
-        tables["converse_trend"] = trend
+        tables["converse_trend"] = [
+            asdict(bounds_mod.converse_log_count(n, data["kappa"], params, power,
+                                                 data["lambda1"], data["lambda2"]))
+            for n in data["n_grid"]
+        ]
     return RunOutput(config=config, rows=rows, tables=tables)
 
 

@@ -48,7 +48,7 @@ class FiniteDistribution:
             raise ValueError("masses must be nonnegative")
         total = mass.sum() + self.tail_bound
         if not (1 - 1e-9 <= total <= 1 + 1e-9):
-            raise ValueError(f"total mass {total!r} not within 1e-9 of 1")
+            raise ValueError(f"total mass {float(total)} not within 1e-9 of 1")
 
 
 def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> FiniteDistribution:
@@ -68,7 +68,7 @@ def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Fi
     if mu < 0:
         raise ValueError("Poisson mean must be nonnegative")
     if mu > MAX_MEAN:
-        raise ValueError(f"Poisson mean {mu!r} exceeds MAX_MEAN={MAX_MEAN:g}")
+        raise ValueError(f"Poisson mean {float(mu)} exceeds MAX_MEAN={MAX_MEAN:g}")
     if not 0 < tail_mass < 1:
         raise ValueError("tail_mass must lie in (0, 1)")
     if mu == 0:

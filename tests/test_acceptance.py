@@ -113,11 +113,11 @@ def test_05_codebook_structural_suite():
             strategy=ConstructionStrategy(max_codewords=16), seed=500 + n,
         )
         validate_codebook(book)  # power constraints + pairwise 2r separation
-        geometry = power_ball_radius(n, FIG2_DARK, power, FIG2_DARK.memory,
-                                     book.packing_radius)
+        ball = power_ball_radius(n, FIG2_DARK, power, FIG2_DARK.memory)
         energies = (book.sqrt_codewords**2).sum(axis=1)
-        assert np.all(energies <= geometry.ball_radius**2 + 1e-9)
-        assert math.log2(book.num_codewords) <= packing_log_count_bound(geometry)
+        assert np.all(energies <= ball**2 + 1e-9)
+        assert math.log2(book.num_codewords) <= packing_log_count_bound(n, ball,
+                                                                        book.packing_radius)
     watch.done(5, "power, separation, ball containment and count bound at n=16/32/64")
 
 
@@ -149,8 +149,8 @@ def test_07_dif_end_to_end():
     code = build_dif_code(900, FIG2_DARK, peak=5.0, num_messages=128,
                           hash_range=hash_range, eps=0.2, constraints=power,
                           seed=seed)
-    assert code.inner.length == 30
-    assert code.pilot.n // (code.pilot.memory + 1) == 300
+    assert code.inner.shape == (hash_range, 30)
+    assert code.pilot.size // (FIG2_DARK.memory + 1) == 300
     inner = estimate_inner_error(code, trials, seed)
     result = estimate_dif_errors(code, [(0, 1)], trials, seed)
     type1 = result.type1[0].estimate

@@ -10,7 +10,9 @@ from dipc import (
     converse_log_count,
     di_capacity_bounds,
     dif_capacity_lower,
+    min_distance_radius,
     poisson_entropy_exact,
+    power_ball_radius,
 )
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -91,15 +93,15 @@ class TestConverse:
         # a larger budget sum means a smaller radius and a larger count
         loose = converse_log_count(256, 0.2, self.PARAMS, self.POWER, 0.05, 0.05)
         tight = converse_log_count(256, 0.2, self.PARAMS, self.POWER, 0.3, 0.3)
-        assert tight.packing_radius < loose.packing_radius
+        assert min_distance_radius(0.3, 0.3) < min_distance_radius(0.05, 0.05)
         assert tight.normalized > loose.normalized
 
     def test_monotone_in_ball_radius(self):
-        small = converse_log_count(256, 0.2, self.PARAMS,
-                                   PowerConstraints(peak=1.0, average=1.0), 0.1, 0.1)
-        large = converse_log_count(256, 0.2, self.PARAMS,
-                                   PowerConstraints(peak=4.0, average=4.0), 0.1, 0.1)
-        assert large.ball_radius > small.ball_radius
+        wide = PowerConstraints(peak=4.0, average=4.0)
+        small = converse_log_count(256, 0.2, self.PARAMS, self.POWER, 0.1, 0.1)
+        large = converse_log_count(256, 0.2, self.PARAMS, wide, 0.1, 0.1)
+        assert power_ball_radius(256, self.PARAMS, wide, large.memory) > \
+            power_ball_radius(256, self.PARAMS, self.POWER, small.memory)
         assert large.normalized > small.normalized
 
     def test_memoryless_algebraic_form(self):
@@ -107,7 +109,7 @@ class TestConverse:
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.0)
         n = 1024
         cb = converse_log_count(n, 0.0, params, self.POWER, 0.1, 0.1)
-        expected = n * (1 + 0.5 * math.log2(n) - math.log2(cb.packing_radius))
+        expected = n * (1 + 0.5 * math.log2(n) - math.log2(min_distance_radius(0.1, 0.1)))
         assert cb.bits == pytest.approx(expected, rel=1e-12)
 
     def test_slack_is_excess_over_asymptote(self):

@@ -83,47 +83,52 @@ class TestPowerBall:
     def test_radius_value(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.1)
         c = PowerConstraints(peak=2.0, average=1.0)
-        g = power_ball_radius(100, params, c, memory=3, packing_radius=0.5)
-        assert g.ball_radius == pytest.approx(17.606816861659009, abs=1e-12)
-        assert g.ball_radius == math.sqrt(100 * 0.1 + 100 * min(1.0, 2.0) * 3 * 1.0)
+        radius = power_ball_radius(100, params, c, memory=3)
+        assert radius == pytest.approx(17.606816861659009, abs=1e-12)
+        assert radius == math.sqrt(100 * 0.1 + 100 * min(1.0, 2.0) * 3 * 1.0)
 
     def test_peak_binds_when_smaller(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.0)
         c = PowerConstraints(peak=1.0, average=5.0)
-        g = power_ball_radius(10, params, c, memory=2, packing_radius=0.5)
-        assert g.ball_radius == math.sqrt(10 * 0.0 + 10 * min(5.0, 1.0) * 2 * 1.0)
-        assert g.ball_radius < math.sqrt(10 * 0.0 + 10 * 5.0 * 2 * 1.0)
+        radius = power_ball_radius(10, params, c, memory=2)
+        assert radius == math.sqrt(10 * 0.0 + 10 * min(5.0, 1.0) * 2 * 1.0)
+        assert radius < math.sqrt(10 * 0.0 + 10 * 5.0 * 2 * 1.0)
 
     def test_memory_below_one_rejected(self):
         with pytest.raises(ValueError):
-            power_ball_radius(10, FIG2, POWER, memory=0, packing_radius=0.5)
+            power_ball_radius(10, FIG2, POWER, memory=0)
 
 
 class TestPackingBound:
-    def geometry(self, n, l, r):
+    def ball(self, n, l):
+        """Power-ball radius of a channel and budget chosen so that it is l."""
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.0)
-        g = power_ball_radius(n, params, PowerConstraints(peak=l * l / n, average=l * l / n),
-                              memory=1, packing_radius=r)
-        assert g.ball_radius == pytest.approx(l)
-        return g
+        radius = power_ball_radius(n, params,
+                                   PowerConstraints(peak=l * l / n, average=l * l / n), memory=1)
+        assert radius == pytest.approx(l)
+        return radius
 
     def test_equal_radii_give_n_bits(self):
-        g = self.geometry(50, 4.0, 4.0)
-        assert packing_log_count_bound(g) == pytest.approx(50.0)
+        assert packing_log_count_bound(50, self.ball(50, 4.0), 4.0) == pytest.approx(50.0)
 
     def test_doubling_ball_adds_n_bits(self):
-        small = packing_log_count_bound(self.geometry(30, 5.0, 0.5))
-        large = packing_log_count_bound(self.geometry(30, 10.0, 0.5))
+        small = packing_log_count_bound(30, self.ball(30, 5.0), 0.5)
+        large = packing_log_count_bound(30, self.ball(30, 10.0), 0.5)
         assert large - small == pytest.approx(30.0, abs=1e-9)
 
     def test_matches_direct_arithmetic(self):
-        g = self.geometry(100, 17.606816861659009, 0.50538382629739482)
+        bits = packing_log_count_bound(100, self.ball(100, 17.606816861659009),
+                                       0.50538382629739482)
         expected = 100 * math.log2(2 * 17.606816861659009 / 0.50538382629739482)
-        assert packing_log_count_bound(g) == pytest.approx(expected, abs=1e-9)
+        assert bits == pytest.approx(expected, abs=1e-9)
 
     def test_radius_exceeding_ball_rejected(self):
-        with pytest.raises(ValueError):
-            packing_log_count_bound(self.geometry(10, 1.0, 2.0))
+        with pytest.raises(ValueError, match="packing radius 2.0 exceeds ball radius 1.0"):
+            packing_log_count_bound(10, self.ball(10, 1.0), 2.0)
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ValueError, match="packing radius must be positive"):
+            packing_log_count_bound(10, self.ball(10, 1.0), 0.0)
 
 
 class TestConstruction:
@@ -137,12 +142,11 @@ class TestConstruction:
     def test_structural_invariants(self):
         book = small_book(n=24, max_codewords=12)
         validate_codebook(book)  # power + pairwise separation
-        geometry = power_ball_radius(
-            book.block_length, FIG2, POWER, FIG2.memory, book.packing_radius
-        )
+        ball = power_ball_radius(book.block_length, FIG2, POWER, FIG2.memory)
         energies = (book.sqrt_codewords**2).sum(axis=1)
-        assert np.all(energies <= geometry.ball_radius**2 + 1e-9)
-        assert math.log2(book.num_codewords) <= packing_log_count_bound(geometry)
+        assert np.all(energies <= ball**2 + 1e-9)
+        assert math.log2(book.num_codewords) <= packing_log_count_bound(
+            book.block_length, ball, book.packing_radius)
 
     def test_two_separated_words_at_n_two(self):
         # the balanced words of (0, 100) at n=2 are (0, 100) and (100, 0)
@@ -202,8 +206,8 @@ class TestConverseCheck:
             strategy=ConstructionStrategy(levels=levels, max_codewords=max_codewords), seed=7,
         )
         assert book.num_codewords == size
-        geometry = power_ball_radius(n, FIG2, POWER, FIG2.memory, book.packing_radius)
-        bits = packing_log_count_bound(geometry)
+        bits = packing_log_count_bound(n, power_ball_radius(n, FIG2, POWER, FIG2.memory),
+                                       book.packing_radius)
         assert book.num_codewords <= 2**bits
         if n == 7:
             assert 38.5 < bits < 39.5  # log2(35) = 5.1 bits against about 39

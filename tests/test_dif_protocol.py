@@ -12,7 +12,6 @@ from dipc import (
     blockize,
     build_dif_code,
     build_inner_code,
-    build_pilot,
     collision_bound_check,
     dif_encode,
     dif_identify,
@@ -34,34 +33,39 @@ FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dar
 
 def standalone_intensities(inner):
     """Each inner codeword's intensity sent alone, shape (M, length + memory)."""
-    return np.stack([effective_intensity(c, FIG2) for c in inner.codewords])
+    return np.stack([effective_intensity(c, FIG2) for c in inner])
 
 
 class TestPilot:
+    def pilot_code(self, n, params, peak):
+        return build_dif_code(n, params, peak=peak, num_messages=2, hash_range=1)
+
     def test_degenerate_memory_fills_every_slot(self):
         params = ChannelParams(memory=0, hit_probs=[1.0])
-        pilot = build_pilot(5, params, peak=3.0)
-        np.testing.assert_allclose(pilot.input_sequence(), 3.0)
+        np.testing.assert_allclose(self.pilot_code(5, params, peak=3.0).pilot, 3.0)
 
     def test_truncated_final_block(self):
-        pilot = build_pilot(7, FIG2, peak=4.0)
-        np.testing.assert_allclose(
-            pilot.input_sequence(), [4.0, 0, 0, 4.0, 0, 0, 4.0]
-        )
-        assert pilot.block_count == 3
-        assert pilot.n // (pilot.memory + 1) == 2
+        pilot = self.pilot_code(7, FIG2, peak=4.0).pilot
+        np.testing.assert_allclose(pilot, [4.0, 0, 0, 4.0, 0, 0, 4.0])
+        assert blockize(pilot, FIG2.memory).shape == (2, 3)
 
     def test_expected_block_receptions(self):
-        pilot = build_pilot(9, FIG2, peak=10.0)
-        mu = effective_intensity(pilot.input_sequence(), FIG2)[:9]
+        mu = self.pilot_code(9, FIG2, peak=10.0).phase1_intensity
         np.testing.assert_allclose(mu, np.tile([6.1, 3.1, 1.1], 3))
 
     def test_letter_laws(self):
         np.testing.assert_allclose(letter_laws(FIG2, 10.0), [6.1, 3.1, 1.1])
 
-    def test_positive_amplitude_required(self):
-        with pytest.raises(ValueError):
-            build_pilot(5, FIG2, peak=0.0)
+    @pytest.mark.parametrize("n, peak, message", [
+        (5, 0.0, "pilot amplitude must be positive"),
+        (5, -1.0, "pilot amplitude must be positive"),
+        (0, 3.0, "phase-1 length must be positive"),
+        (-4, 3.0, "phase-1 length must be positive"),
+    ], ids=["peak-zero", "peak-negative", "n-zero", "n-negative"])
+    def test_degenerate_pilot_rejected(self, n, peak, message):
+        with pytest.raises(ValueError, match=message):
+            build_dif_code(n, FIG2, peak=peak, num_messages=2, hash_range=1,
+                           constraints=PowerConstraints(peak=5.0, average=5.0))
 
 
 class TestBlockize:
@@ -198,15 +202,15 @@ class TestHashFamily:
 class TestInnerCode:
     def test_size_one_decodes_to_one(self):
         code = build_inner_code(25, 1, peak=5.0, seed=0)
-        y = np.zeros(code.length + FIG2.memory)
+        y = np.zeros(code.shape[1] + FIG2.memory)
         assert _ml_decode(y, _ml_table(standalone_intensities(code))) == 0
 
     def test_codewords_distinct_and_balanced(self):
         code = build_inner_code(64, 8, peak=5.0, seed=1)
-        assert code.length == 8
-        rows = {row.tobytes() for row in code.codewords}
+        assert code.shape == (8, 8)
+        rows = {row.tobytes() for row in code}
         assert len(rows) == 8
-        on = (code.codewords > 0).sum(axis=1)
+        on = (code > 0).sum(axis=1)
         assert np.all(on == 4)
 
     def test_range_too_large(self):
@@ -289,7 +293,7 @@ class TestProtocolRoundTrip:
     def test_output_length(self):
         code = self.code(n=91)
         y, _ = dif_encode(0, code, seed=1)
-        assert y.size == code.output_length == 91 + code.inner.length + FIG2.memory
+        assert y.size == code.output_length == 91 + code.inner.shape[1] + FIG2.memory
 
     def test_end_to_end_identity(self):
         # whenever the string is typical and the inner code decodes right,
@@ -307,6 +311,13 @@ class TestProtocolRoundTrip:
         code = self.code()
         y = np.zeros(code.output_length, dtype=int)  # silent record: atypical
         assert all(not dif_identify(i, y, code) for i in range(5))
+
+    @pytest.mark.parametrize("index", [10**6, 32, -1, 2.5])
+    def test_index_checked_before_typicality(self, index):
+        code = self.code()
+        y = np.zeros(code.output_length, dtype=int)  # silent record: atypical
+        with pytest.raises(IndexError, match="is not an integer in"):
+            dif_identify(index, y, code)
 
     def test_wrong_message_accepted_only_on_collision(self):
         code = self.code()

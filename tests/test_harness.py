@@ -481,6 +481,8 @@ class TestSerialization:
         "extra-power-key": r"codebook: power: unknown fields \['mean'\]",
         "above-peak": "codeword 0 violates the power constraints",
         "duplicate": "codewords 0 and 1 are 0.000000 apart",
+        # a numpy scalar's repr would read "got np.float64(0.9)"
+        "hit-probs-sum": r"codebook: channel: hit probabilities must sum to 1, got 0\.9$",
     }
 
     @pytest.mark.parametrize("fault", sorted(MALFORMED_BOOKS))
@@ -493,6 +495,8 @@ class TestSerialization:
             doc["power"]["mean"] = 1.0
         elif fault == "above-peak":
             doc["codewords"][0] = [50.0] * len(doc["codewords"][0])
+        elif fault == "hit-probs-sum":
+            doc["channel"]["hit_probs"] = [0.5, 0.3, 0.1]
         else:
             doc["codewords"][1] = doc["codewords"][0]
         with pytest.raises(ValueError, match=self.MALFORMED_BOOKS[fault]):
@@ -681,6 +685,7 @@ MALFORMED = {
     "inner-error-trials-zero": dif_config(inner_error_trials=0),
     "master-seed-bool": di_config(master_seed=True),
     "calibration-target-above-one": di_config(calibration_target=5),
+    "hit-probs-sum-0.9": di_config(channel={**CHANNEL, "hit_probs": [0.5, 0.3, 0.1]}),
     # sizes a run could not allocate: hash_range derives to 2**101, n-slot draws
     "dif-derived-hash-range-huge": {k: v for k, v in dif_config(n=40000, lambda2=1e-30).items()
                                     if k not in ("hash_range", "num_messages")},
@@ -697,8 +702,10 @@ MALFORMED = {
 class TestSchema:
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_config_is_a_config_error(self, name):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             validate_config(MALFORMED[name])
+        # values are shown as plain Python numbers, never as numpy reprs
+        assert not any(re.search(r"\bnp\.", v) for v in err.value.violations)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_config_cli_record(self, name, tmp_path, capsys):

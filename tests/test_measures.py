@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,19 +79,22 @@ class TestTruncatedPmf:
         with pytest.raises(ValueError):
             poisson_pmf_truncated(1.0, 0.0)
 
-    @pytest.mark.parametrize("mu", [math.nextafter(MAX_MEAN, math.inf), 6.76e5])
+    @pytest.mark.parametrize("mu", [math.nextafter(MAX_MEAN, math.inf), 6.76e5,
+                                    np.float64(2e5)])
     def test_means_above_the_cap_rejected(self, mu):
-        # at 6.76e5 the summed masses miss 1 by more than 1e-9
+        # at 6.76e5 the summed masses miss 1 by more than 1e-9; a numpy mean
+        # is shown as a plain float, not as np.float64(...)
         assert MAX_MEAN == 1e5
-        with pytest.raises(ValueError, match="exceeds MAX_MEAN=100000"):
+        message = f"^Poisson mean {re.escape(str(float(mu)))} exceeds MAX_MEAN=100000$"
+        with pytest.raises(ValueError, match=message):
             poisson_pmf_truncated(mu)
-        with pytest.raises(ValueError, match="exceeds MAX_MEAN=100000"):
+        with pytest.raises(ValueError, match=message):
             poisson_entropy_exact(mu)
 
 
 class TestFiniteDistribution:
     def test_mass_must_account_for_everything(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^total mass 0\.9 not within 1e-9 of 1$"):
             FiniteDistribution(np.array([0, 1]), np.array([0.5, 0.4]))
 
     def test_support_must_increase(self):
