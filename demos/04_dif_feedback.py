@@ -12,8 +12,6 @@ advantage.
 
 import math
 
-import numpy as np
-
 from dipc import (
     ChannelParams,
     PowerConstraints,

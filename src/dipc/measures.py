@@ -22,6 +22,15 @@ MAX_MEAN = 1e5
 
 LN2 = math.log(2.0)
 
+# cephes lgam's constants: ln sqrt(2 pi) and its Stirling series in 1/x^2.
+_LN_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
+_SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -52,19 +61,14 @@ class FiniteDistribution:
 
 
 def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> FiniteDistribution:
-    """Poisson(mu) on [0, y_max], y_max the smallest point with sf(y_max) <= tail_mass.
+    """Poisson(mu) on [0, y_max], y_max the smallest point with P(Y > y_max) <= tail_mass.
 
-    The survival function ``pdtrc`` stays accurate far below
-    float-representable 1 - CDF, so tails down to ~1e-300 are supported.  The
-    search starts at the quantile ``pdtrik`` finds for a tail of
-    max(tail_mass, 1e-12), the depth to which that root finder is trusted,
-    and steps outward to the exact cutoff.  The masses are
-    exp(y ln mu - ln y! - mu) clipped to [0, 1], as scipy's ``poisson``
-    distribution computes them.  ``scipy.special`` is imported on first
-    call, so importing dipc does not load scipy.
+    The masses are exp(y ln mu - ln y! - mu) clipped to [0, 1], as scipy's
+    ``poisson`` distribution computes them.  They are computed out to where
+    Bernstein's inequality puts the remaining mass 40 nats below
+    ``tail_mass``, and P(Y > y) is their sum from the far end, so tails down
+    to ~1e-300 are supported with numpy alone.
     """
-    from scipy.special import gammaln, pdtrc, pdtrik, xlogy
-
     if mu < 0:
         raise ValueError("Poisson mean must be nonnegative")
     if mu > MAX_MEAN:
@@ -73,15 +77,43 @@ def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Fi
         raise ValueError("tail_mass must lie in (0, 1)")
     if mu == 0:
         return FiniteDistribution(np.array([0]), np.array([1.0]), 0.0)
-    y_max = math.ceil(pdtrik(1.0 - max(tail_mass, 1e-12), mu))
-    while pdtrc(y_max, mu) > tail_mass:
-        y_max += 1
-    while y_max > 0 and pdtrc(y_max - 1, mu) <= tail_mass:
-        y_max -= 1
-    support = np.arange(y_max + 1)
-    mass = np.clip(np.exp(xlogy(support, mu) - gammaln(support + 1) - mu), 0, 1)
+    # P(Y >= mu + t) <= exp(-depth) for t = sqrt(2 mu depth) + 2 depth / 3.
+    depth = 40.0 - math.log(tail_mass)
+    support = np.arange(math.ceil(mu + math.sqrt(2 * mu * depth) + 2 * depth / 3) + 1)
+    mass = np.clip(np.exp(support * math.log(mu) - _log_factorial(support) - mu), 0, 1)
+    above = np.cumsum(mass[:0:-1])[::-1]  # above[y] = P(Y > y)
+    y_max = int(np.count_nonzero(above > tail_mass))
+    mass = mass[: y_max + 1]
     tail = max(0.0, 1.0 - mass.sum())
-    return FiniteDistribution(support, mass, tail)
+    return FiniteDistribution(support[: y_max + 1], mass, tail)
+
+
+def _log_factorial(k) -> np.ndarray:
+    """ln k! for integer-valued ``k`` >= 0, bit for bit scipy's ``gammaln(k + 1)``.
+
+    This is cephes ``lgam`` at integer x = k + 1: the log of the exact
+    product below 13, else Stirling's series, shortened from 1000 and
+    dropped above 1e8.  Every log is libm's, through ``math.log``; numpy's
+    own log rounds some arguments differently.
+    """
+    x = np.asarray(k, dtype=float) + 1.0
+    out = np.empty_like(x)
+    small = x < 13
+    out[small] = _SMALL_LOG_FACTORIALS[x[small].astype(np.int64) - 1]
+    x = x[~small]
+    log_x = np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+    q = (x - 0.5) * log_x - x + _LN_SQRT_2PI
+    p = 1.0 / (x * x)
+    series = np.where(x < 1000, _horner(_STIRLING, p), _horner(_STIRLING_SHORT, p))
+    out[~small] = np.where(x > 1e8, q, q + series / x)
+    return out
+
+
+def _horner(coefficients, p):
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * p + c
+    return value
 
 
 def _aligned(q1: FiniteDistribution, q2: FiniteDistribution):

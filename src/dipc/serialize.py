@@ -204,9 +204,20 @@ def atomic_open(path, newline=None):
 
 
 def save_codebook(book: DICodebook, path) -> None:
+    """Write ``json.dumps(codebook_to_dict(book), sort_keys=True, indent=2)``
+    and a newline, byte for byte.
+
+    json indents through its pure-Python encoder, so the codeword rows,
+    nearly all of the text, go through its C encoder on one line and are
+    broken into lines here: the rows hold numbers only.
+    """
+    doc = codebook_to_dict(book)
+    rows = (json.dumps(doc.pop("codewords"))
+            .replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+            .replace("[[", "[\n    [\n      ").replace("]]", "\n    ]\n  ]"))
+    text = json.dumps({**doc, "codewords": 0}, sort_keys=True, indent=2)
     with atomic_open(path) as fh:
-        json.dump(codebook_to_dict(book), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text.replace('"codewords": 0', '"codewords": ' + rows, 1) + "\n")
 
 
 def load_codebook(path) -> DICodebook:

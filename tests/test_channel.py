@@ -72,7 +72,28 @@ class TestEffectiveIntensity:
             effective_intensity([1.0, -1.0], FIG2)
 
 
+def scipy_log_likelihood(y, x, params):
+    """log_likelihood with ln y! from scipy.special.gammaln."""
+    from scipy.special import gammaln
+
+    y = np.asarray(y, dtype=float)
+    mu = effective_intensity(x, params)
+    ylogmu = np.where(y > 0, y * np.log(np.where(mu > 0, mu, 1.0)), 0.0)
+    return float(np.sum(-mu + ylogmu - gammaln(y + 1)))
+
+
 class TestLogLikelihood:
+    @pytest.mark.parametrize("y", [
+        [0, 1, 2, 3, 4, 5],
+        [11, 12, 13, 14, 999, 1000],
+        [0, 7, 123_456, 10**8, 10**8 + 1, 3 * 10**9],
+        [2**40, 10**8 - 1, 1001, 20, 0, 2**53],
+    ])
+    def test_ln_factorial_is_scipy_gammaln(self, y):
+        params = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], dark_rate=0.3)
+        x = np.array([2.0, 50.0, 1e3, 1e8])
+        assert log_likelihood(y, x, params) == scipy_log_likelihood(y, x, params)
+
     def test_all_zero_counts_sum_dark_rate(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.1)
         ll = log_likelihood([0] * 10, [0.0] * 10, params)

@@ -404,6 +404,19 @@ class TestCalibration:
         theta = calibrate_threshold(book, 1000, seed=4)
         assert book.threshold == theta
 
+    def test_order_statistic_with_ties_is_the_full_sort_value(self):
+        # n = 2 leaves few distinct statistics, so the one the rule reads
+        # (index 1000 - 100 - 1) is tied with its neighbours in every row
+        book = small_book(n=2, max_codewords=4)
+        theta = calibrate_threshold(book, 1000, seed=4, target=0.1)
+        stats = np.stack([
+            _statistics(spawn(4, "calibrate", i).poisson(book.intensities[i], size=(1000, 4)),
+                        book.intensities[i], 2)
+            for i in range(book.num_codewords)])
+        order = np.sort(stats, axis=1)
+        assert np.all(order[:, 898] == order[:, 899]) and np.all(order[:, 899] == order[:, 900])
+        assert theta == order[:, 899].max()
+
 
 class TestStatistic:
     def outputs(self, n=13, trials=50, memory=2):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dipc import ConstructionStrategy, PowerConstraints, construct_codebook, decode_identify
+from dipc import (ConstructionStrategy, DICodebook, PowerConstraints, construct_codebook,
+                  decode_identify)
 from dipc.cli import main as cli_main
 from dipc.errors import ConfigError
 from dipc import harness
@@ -433,12 +435,17 @@ class TestWrittenFiles:
 
     def test_failure_inside_a_file_leaves_the_old_file(self, tmp_path, two_runs, monkeypatch):
         old, new, target = self.rewrite(tmp_path, two_runs)
+        atomic_open = serialize.atomic_open
 
-        def dump(doc, fh, **kwargs):
-            fh.write('{\n  "channel": ')
-            raise OSError("disk full")
+        @contextlib.contextmanager
+        def fail_in_codebook(path, newline=None):
+            with atomic_open(path, newline) as fh:
+                if os.path.basename(path) == "codebook.json":
+                    fh.write('{\n  "channel": ')
+                    raise OSError("disk full")
+                yield fh
 
-        monkeypatch.setattr(json, "dump", dump)
+        monkeypatch.setattr(serialize, "atomic_open", fail_in_codebook)
         with pytest.raises(OSError, match="disk full"):
             write_outputs(two_runs[1], target)
         now = self.check_whole(target, old, new)
@@ -471,6 +478,19 @@ class TestSerialization:
         assert loaded.threshold == book.threshold
         y = np.round(book.intensities[0])
         assert decode_identify(y, 0, loaded) == decode_identify(y, 0, book)
+
+    @pytest.mark.parametrize("codewords, threshold", [
+        ([[0.0, -0.0, 10.0]], math.inf),
+        ([[-0.0, 2.5], [1e-300, 10.0], [5.0, 0.1]], -0.0),
+        ([[7.25]], 1.5),
+    ])
+    def test_codebook_file_is_json_indent_2(self, tmp_path, codewords, threshold):
+        book = small_book()
+        book = DICodebook(np.array(codewords), book.params, book.constraints,
+                          book.packing_radius, book.type1_budget, book.type2_budget, threshold)
+        serialize.save_codebook(book, tmp_path / "book.json")
+        doc = serialize.codebook_to_dict(book)
+        assert (tmp_path / "book.json").read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_codebook_unknown_schema(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-"""Importing dipc and running a di-sim experiment load numpy, not scipy,
-and importing dipc loads no thread pool.
+"""Importing dipc and running a di-sim, a dif-sim and a bounds experiment and
+``log_likelihood`` load numpy, not scipy, and importing dipc loads no thread
+pool.
 
-scipy is imported only where a Poisson special function is evaluated, so a
-top-level scipy import anywhere in the package fails here.  The DI senders'
-threads are started with ``threading`` inside ``results.sender_map``, so
-``concurrent.futures`` stays out of the import and of set-up time.
+The Poisson laws, their entropies and ln k! are computed with numpy and
+``math`` alone, so a scipy import anywhere in the package fails here.  The
+DI senders' threads are started with ``threading`` inside
+``results.sender_map``, so ``concurrent.futures`` stays out of the import
+and of set-up time.
 """
 
 import json
@@ -16,30 +18,58 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Prints the concurrent modules after the import, then the scipy modules
+# after each config's run and after a log_likelihood call.
 SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import dipc, dipc.cli, dipc.harness
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")))
-dipc.harness.run(dipc.harness.validate_config(json.loads(sys.argv[2])))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+def show(prefix):
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == prefix)))
+show("concurrent")
+for config in sys.argv[2:]:
+    dipc.harness.run(dipc.harness.validate_config(json.loads(config)))
+    show("scipy")
+params = dipc.ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], dark_rate=0.1)
+dipc.log_likelihood([0, 3, 20, 5000], [2.0, 4000.0], params)
+show("scipy")
 """
 
+CHANNEL = {"memory": 2, "hit_probs": [0.6, 0.3, 0.1], "dark_rate": 0.1}
 DI_SIM = {
     "kind": "di-sim",
-    "channel": {"memory": 2, "hit_probs": [0.6, 0.3, 0.1], "dark_rate": 0.1},
+    "channel": CHANNEL,
     "power": {"peak": 10.0, "average": 10.0},
     "n": 6,
     "trials": 20,
     "max_codewords": 3,
     "levels": [0.0, 5.0, 10.0],
 }
+DIF_SIM = {
+    "kind": "dif-sim",
+    "channel": CHANNEL,
+    "power": {"peak": 5.0, "average": 5.0},
+    "n": 30,
+    "trials": 10,
+    "hash_range": 4,
+    "num_messages": 8,
+    "inner_error_trials": 10,
+}
+BOUNDS = {
+    "kind": "bounds",
+    "channel": CHANNEL,
+    "power": {"peak": 5.0, "average": 5.0},
+    "kappa": 0.25,
+    "n_grid": [64, 256],
+}
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    """(concurrent modules after the import, scipy modules after the run)."""
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), json.dumps(DI_SIM)],
+    """[concurrent modules after the import, scipy modules after the di-sim,
+    dif-sim and bounds runs and after log_likelihood]."""
+    configs = [json.dumps(cfg) for cfg in (DI_SIM, DIF_SIM, BOUNDS)]
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), *configs],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return [json.loads(line) for line in done.stdout.splitlines()]
@@ -47,6 +77,11 @@ def loaded():
 
 def test_di_sim_loads_no_scipy(loaded):
     assert loaded[1] == []
+
+
+@pytest.mark.parametrize("step", [2, 3, 4], ids=["dif-sim", "bounds", "log_likelihood"])
+def test_poisson_laws_load_no_scipy(loaded, step):
+    assert loaded[step] == []
 
 
 def test_import_loads_no_concurrent_futures(loaded):

@@ -15,7 +15,7 @@ from dipc import (
     poisson_pmf_truncated,
     tv_distance,
 )
-from dipc.measures import MAX_MEAN
+from dipc.measures import MAX_MEAN, _log_factorial
 
 # 50-digit oracle values (direct arbitrary-precision summation / arithmetic).
 ENTROPY_POIS_1_BITS = 1.8824894320455294
@@ -31,7 +31,47 @@ def pois_pmf(mu, y):
     return math.exp(-mu + y * math.log(mu) - math.lgamma(y + 1))
 
 
+def scipy_pmf_truncated(mu, tail_mass):
+    """(support, masses, tail bound) of Poisson(mu) as computed with
+    scipy.special: the quantile ``pdtrik`` finds, stepped with ``pdtrc`` to
+    the smallest y_max with P(Y > y_max) <= tail_mass, and xlogy/gammaln
+    masses."""
+    from scipy.special import gammaln, pdtrc, pdtrik, xlogy
+
+    if mu == 0:
+        return np.array([0]), np.array([1.0]), 0.0
+    y_max = math.ceil(pdtrik(1.0 - max(tail_mass, 1e-12), mu))
+    while pdtrc(y_max, mu) > tail_mass:
+        y_max += 1
+    while y_max > 0 and pdtrc(y_max - 1, mu) <= tail_mass:
+        y_max -= 1
+    support = np.arange(y_max + 1)
+    mass = np.clip(np.exp(xlogy(support, mu) - gammaln(support + 1) - mu), 0, 1)
+    return support, mass, max(0.0, 1.0 - mass.sum())
+
+
+ORACLE_MEANS = sorted({0.0, 6.1, MAX_MEAN, *np.geomspace(1e-6, MAX_MEAN, 23).tolist(),
+                       *np.linspace(0.1, 30.0, 24).tolist()})
+
+
+def test_log_factorial_is_scipy_gammaln():
+    from scipy.special import gammaln
+
+    k = np.concatenate([np.arange(200_000), np.arange(10**8 - 1000, 10**8 + 1000)])
+    assert np.array_equal(_log_factorial(k), gammaln(k + 1.0))
+
+
 class TestTruncatedPmf:
+    @pytest.mark.parametrize("tail", [1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.3, 0.999])
+    def test_bit_for_bit_the_scipy_computation(self, tail):
+        for mu in ORACLE_MEANS:
+            support, mass, tail_bound = scipy_pmf_truncated(mu, tail)
+            d = poisson_pmf_truncated(mu, tail)
+            assert np.array_equal(d.support, support), mu
+            assert np.array_equal(d.mass, mass), mu
+            assert d.tail_bound == tail_bound, mu
+
+
     def test_zero_mean_is_point_mass(self):
         d = poisson_pmf_truncated(0.0)
         assert d.support.tolist() == [0]
