@@ -13,7 +13,6 @@ import numpy as np
 
 from dipc import (
     ChannelParams,
-    ConstructionStrategy,
     PowerConstraints,
     calibrate_threshold,
     construct_codebook,
@@ -28,8 +27,7 @@ channel = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0,
 power = PowerConstraints(peak=10.0, average=10.0)
 n, seed = 32, 7
 
-book = construct_codebook(n, channel, power, 0.1, 0.1,
-                          strategy=ConstructionStrategy(max_codewords=12), seed=seed)
+book = construct_codebook(n, channel, power, 0.1, 0.1, max_codewords=12, seed=seed)
 ball = power_ball_radius(n, channel, power, channel.memory)
 print(f"constructed {book.num_codewords} codewords of length {n}")
 print(f"required sqrt-domain separation 2r = {2*book.packing_radius:.3f}")

@@ -25,9 +25,8 @@ from dipc import (
 
 channel = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0,
                         dark_rate=0.1)
-code = build_dif_code(n=300, params=channel, peak=5.0, num_messages=64,
-                      hash_range=16, eps=0.2,
-                      constraints=PowerConstraints(peak=5.0, average=5.0), seed=9)
+code = build_dif_code(n=300, params=channel, constraints=PowerConstraints(peak=5.0, average=5.0),
+                      num_messages=64, hash_range=16, eps=0.2, seed=9)
 
 print(f"phase 1: {math.ceil(code.n / (channel.memory + 1))} pilot blocks of length "
       f"{channel.memory + 1}; phase 2: {code.inner.shape[1]} slots for "

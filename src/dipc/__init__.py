@@ -31,7 +31,6 @@ from .measures import (
     tv_distance,
 )
 from .di_code import (
-    ConstructionStrategy,
     DICodebook,
     calibrate_threshold,
     construct_codebook,

@@ -78,9 +78,13 @@ def _as_codeword(x) -> np.ndarray:
 
 
 def as_counts(y) -> np.ndarray:
-    """Output counts as an integer array; integral floats are accepted."""
+    """Output counts as an int64 array; integral floats are accepted.  Raises
+    ValueError unless every count is an integer in [0, 2**63)."""
     y = np.asarray(y)
-    if np.any(y < 0) or not np.all(np.equal(np.mod(y, 1), 0)):
+    if y.dtype.kind in "bf":  # bool and float16 cannot hold 2**63
+        y = y.astype(float, copy=False)
+    # the Python int 2**63: int64's max as a float rounds up to it
+    if np.any(y < 0) or np.any(y >= 2**63) or not np.all(np.equal(np.mod(y, 1), 0)):
         raise ValueError("counts must be nonnegative integers")
     return y.astype(np.int64)
 

@@ -16,6 +16,7 @@ import time
 
 from .errors import ConfigError
 from .harness import KINDS, OUT_DIR_ENV, SCHEMAS, run, validate_config, write_meta, write_outputs
+from .serialize import read_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,9 +42,8 @@ def _error_record(kind: str, **fields) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_json(args.config)
+    except (OSError, ValueError) as exc:
         print(_error_record("config-load", message=str(exc)), file=sys.stderr)
         return 2
 

@@ -85,25 +85,6 @@ def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -
 
 
 @dataclass
-class ConstructionStrategy:
-    """Knobs for greedy codebook construction.
-
-    ``levels`` is the per-slot release-rate alphabet (default 0, peak/2,
-    peak).  Every candidate is a random permutation of the same near-equal
-    level multiset, so all codewords share one own-statistic scale and a
-    single decoder threshold calibrates uniformly.  ``separation_scale`` (at
-    least 1) multiplies the required minimum distance; values above 1 trade
-    codebook size for decoder margin.  Construction stops at
-    ``max_codewords`` or after :data:`STOP_REJECTIONS_PER_WORD` times the
-    current size of consecutive rejections.
-    """
-
-    levels: tuple[float, ...] | None = None
-    max_codewords: int = 64
-    separation_scale: float = 1.0
-
-
-@dataclass
 class DICodebook:
     """Codewords, their channel, and the threshold decision rule.
 
@@ -174,49 +155,55 @@ def construct_codebook(
     constraints: PowerConstraints,
     type1_budget: float,
     type2_budget: float,
-    strategy: ConstructionStrategy | None = None,
+    max_codewords: int,
+    levels: list[float] | None = None,
+    separation_scale: float = 1.0,
     seed: int = 0,
 ) -> DICodebook:
     """Greedy rejection packing of grid codewords at sqrt-domain distance 2r.
 
-    Candidates are balanced permutations of the level alphabet, rescaled
+    ``levels`` is the per-slot release-rate alphabet (default 0, peak/2,
+    peak).  Every candidate is a random permutation of the same near-equal
+    level multiset, so all codewords share one own-statistic scale and a
+    single decoder threshold calibrates uniformly.  Candidates are rescaled
     onto the average-power budget when it binds, and accepted when they keep
-    the minimum pairwise distance.  The first candidate has nothing to keep
-    apart from, so a book holds at least one codeword however tight the
-    budget.  Deterministic in ``seed``.
+    the minimum pairwise distance.  ``separation_scale`` (at least 1)
+    multiplies that distance; values above 1 trade codebook size for decoder
+    margin.  The first candidate has nothing to keep apart from, so a book
+    holds at least one codeword however tight the budget.  Construction
+    stops at ``max_codewords`` or after :data:`STOP_REJECTIONS_PER_WORD`
+    times the current size of consecutive rejections.  Deterministic in
+    ``seed``.
     """
     if n < 1:
         raise ValueError("block length must be positive")
-    strategy = strategy or ConstructionStrategy()
     radius = min_distance_radius(type1_budget, type2_budget)
-    needed = 2.0 * radius * strategy.separation_scale
-    levels = strategy.levels
+    needed = 2.0 * radius * separation_scale
     if levels is None:
         levels = (0.0, constraints.peak / 2.0, constraints.peak)
     levels = np.sort(np.asarray(levels, dtype=float))
     if np.any(levels < 0) or np.any(levels > constraints.peak):
         raise ValueError("level alphabet must lie in [0, peak]")
-    if strategy.max_codewords < 1:
+    if max_codewords < 1:
         raise ValueError("max_codewords must be at least 1")
-    if not strategy.separation_scale >= 1:
+    if not separation_scale >= 1:
         raise ValueError("separation_scale must be at least 1")
     counts = np.full(levels.size, n // levels.size)
     counts[: n % levels.size] += 1  # remainder on the lowest levels
     base = np.repeat(levels, counts)
 
     budget = n * constraints.average
-    most = strategy.max_codewords
     accepted: list[np.ndarray] = []
     # Accepted sqrt-codewords as the first len(accepted) rows; doubles when full.
-    pool = np.empty((min(most, 64), n))
+    pool = np.empty((min(max_codewords, 64), n))
     rejections = 0
     candidate = 0
-    while len(accepted) < most:
+    while len(accepted) < max_codewords:
         k = len(accepted)
         # Candidates are drawn and screened in batches.  A batch can fill the
         # book or reach the rejection stop only at its last candidate, so the
         # candidates drawn are exactly those of a one-at-a-time loop.
-        size = max(1, min(most - k, STOP_REJECTIONS_PER_WORD * k - rejections,
+        size = max(1, min(max_codewords - k, STOP_REJECTIONS_PER_WORD * k - rejections,
                           _SCREEN_CELLS // (max(k, 1) * n)))
         xs = []
         batch = np.empty((size, n))
@@ -283,21 +270,18 @@ def calibrate_threshold(
     book: DICodebook,
     trials: int,
     seed: int,
-    target: float | None = None,
+    target: float,
 ) -> float:
     """Pick the smallest threshold whose empirical Type I error meets the target.
 
     Samples ``trials`` outputs per codeword, then takes the smallest observed
-    statistic at which every per-message rejection rate is at most ``target``
-    (default: the codebook's Type I budget).  Calibrating to a fraction of
-    the budget leaves headroom for an independent verification run to
-    confirm the budget with confidence.  Sets ``book.threshold`` and returns
-    it.
+    statistic at which every per-message rejection rate is at most ``target``.
+    Calibrating to a fraction of the codebook's Type I budget leaves headroom
+    for an independent verification run to confirm the budget with
+    confidence.  Sets ``book.threshold`` and returns it.
     """
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
-    if target is None:
-        target = book.type1_budget
     if not 0 <= target:
         raise ValueError("target error rate must be nonnegative")
 

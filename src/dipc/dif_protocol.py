@@ -74,11 +74,6 @@ class TypicalSetSpec:
         if self.eps <= 0:
             raise ValueError("typicality slack must be positive")
 
-    @classmethod
-    def from_channel(cls, params: ChannelParams, peak: float, eps: float,
-                     tail_mass: float = DEFAULT_TAIL_MASS):
-        return cls(eps=eps, letter_laws=letter_laws(params, peak), tail_mass=tail_mass)
-
     @cached_property
     def _tables(self):
         """Per position: (y_max, extended pmf incl. overflow bucket)."""
@@ -222,11 +217,11 @@ def inner_pulse_bound(n: int, hash_range: int) -> int:
     return length // 2 if balanced else length
 
 
-def dif_power_fits(n: int, memory: int, hash_range: int, peak: float,
-                   constraints: PowerConstraints) -> bool:
+def dif_power_fits(n: int, memory: int, hash_range: int, constraints: PowerConstraints) -> bool:
     """Whether the average budget of the n + ceil(sqrt(n)) input slots covers
-    the pilot plus the heaviest inner codeword :func:`inner_pulse_bound` allows."""
-    worst = (math.ceil(n / (memory + 1)) + inner_pulse_bound(n, hash_range)) * peak
+    the peak-amplitude pilot plus the heaviest inner codeword
+    :func:`inner_pulse_bound` allows."""
+    worst = (math.ceil(n / (memory + 1)) + inner_pulse_bound(n, hash_range)) * constraints.peak
     return worst <= (n + math.ceil(math.sqrt(n))) * constraints.average + 1e-9
 
 
@@ -292,31 +287,25 @@ class DIFCode:
 def build_dif_code(
     n: int,
     params: ChannelParams,
-    peak: float,
+    constraints: PowerConstraints,
     num_messages: int,
     hash_range: int,
     eps: float = 0.2,
-    constraints: PowerConstraints | None = None,
     seed: int = 0,
     tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> DIFCode:
     """Assemble the three-phase code.
 
-    If ``constraints`` are given, the pilot amplitude is checked against the
-    peak and the pilot plus the worst-case inner codeword against the
-    average budget (:func:`dif_power_fits`).
+    The pilot and the inner codewords pulse at ``constraints.peak``; the
+    pilot plus the worst-case inner codeword must fit the average budget
+    (:func:`dif_power_fits`).
     """
-    if peak <= 0:
-        raise ValueError("pilot amplitude must be positive")
     if n < 1:
         raise ValueError("phase-1 length must be positive")
-    if constraints is not None:
-        if peak > constraints.peak:
-            raise ValueError("pilot amplitude exceeds the peak constraint")
-        if not dif_power_fits(n, params.memory, hash_range, peak, constraints):
-            raise ValueError("the pilot plus the heaviest inner codeword exceed the"
-                             " average budget")
-    typ = TypicalSetSpec.from_channel(params, peak, eps, tail_mass=tail_mass)
+    if not dif_power_fits(n, params.memory, hash_range, constraints):
+        raise ValueError("the pilot plus the heaviest inner codeword exceed the average budget")
+    peak = constraints.peak
+    typ = TypicalSetSpec(eps=eps, letter_laws=letter_laws(params, peak), tail_mass=tail_mass)
     hashes = HashFamily(master_seed=seed, num_messages=num_messages,
                         hash_range=hash_range)
     inner = build_inner_code(n, hash_range, peak, seed)

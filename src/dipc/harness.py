@@ -22,8 +22,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import serialize
 from .channel import ChannelParams, PowerConstraints
-from .di_code import (ConstructionStrategy, DICodebook, calibrate_threshold, construct_codebook,
-                      estimate_errors)
+from .di_code import DICodebook, calibrate_threshold, construct_codebook, estimate_errors
 from .dif_protocol import build_dif_code, dif_power_fits, estimate_dif_errors, estimate_inner_error
 from .errors import ConfigError
 from .measures import DEFAULT_TAIL_MASS, MAX_MEAN
@@ -178,7 +177,7 @@ SCHEMAS = {
         (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
          "pairs: a message index lies outside [0, {num_messages})"),
         (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"],
-                                  d["power"]["peak"], ExperimentConfig(d).power),
+                                  ExperimentConfig(d).power),
          "power: average too small for the pilot plus the heaviest inner codeword"),
         # the largest arrays: the phase-2 intensity table and the phase-1 pilot
         (lambda d: d["hash_range"] * (math.ceil(math.sqrt(d["n"])) + d["channel"]["memory"])
@@ -251,16 +250,10 @@ def _run_bounds(config: ExperimentConfig) -> RunOutput:
 
 def _run_di_sim(config: ExperimentConfig) -> RunOutput:
     data = config.data
-    params = config.channel
-    power = config.power
-    strategy = ConstructionStrategy(
-        levels=tuple(data["levels"]) if "levels" in data else None,
-        max_codewords=data["max_codewords"],
-        separation_scale=data["separation_scale"],
-    )
     book = construct_codebook(
-        data["n"], params, power, data["lambda1"], data["lambda2"],
-        strategy=strategy, seed=config.master_seed,
+        data["n"], config.channel, config.power, data["lambda1"], data["lambda2"],
+        data["max_codewords"], levels=data.get("levels"),
+        separation_scale=data["separation_scale"], seed=config.master_seed,
     )
     calibrate_threshold(
         book, data["calibration_trials"], config.master_seed,
@@ -272,16 +265,13 @@ def _run_di_sim(config: ExperimentConfig) -> RunOutput:
 
 def _run_dif_sim(config: ExperimentConfig) -> RunOutput:
     data = config.data
-    params = config.channel
-    power = config.power
     code = build_dif_code(
         data["n"],
-        params,
-        power.peak,
+        config.channel,
+        config.power,
         num_messages=data["num_messages"],
         hash_range=data["hash_range"],
         eps=data["eps"],
-        constraints=power,
         seed=config.master_seed,
         tail_mass=data["tail_mass"],
     )

@@ -220,7 +220,16 @@ def save_codebook(book: DICodebook, path) -> None:
         fh.write(text.replace('"codewords": 0', '"codewords": ' + rows, 1) + "\n")
 
 
-def load_codebook(path) -> DICodebook:
+def read_json(path):
+    """The JSON document in a UTF-8 file.  Raises OSError when the file cannot
+    be read and ValueError when it is not UTF-8 JSON, too deep nesting included."""
     with open(path, encoding="utf-8") as fh:
-        return codebook_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
+def load_codebook(path) -> DICodebook:
+    return codebook_from_dict(read_json(path))
 

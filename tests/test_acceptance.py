@@ -11,7 +11,6 @@ from scipy.stats import chisquare
 
 from dipc import (
     ChannelParams,
-    ConstructionStrategy,
     HashFamily,
     PowerConstraints,
     bhattacharyya,
@@ -108,10 +107,7 @@ def test_05_codebook_structural_suite():
     watch = Stopwatch(120.0)
     power = PowerConstraints(peak=10.0, average=10.0)
     for n in (16, 32, 64):
-        book = construct_codebook(
-            n, FIG2_DARK, power, 0.1, 0.1,
-            strategy=ConstructionStrategy(max_codewords=16), seed=500 + n,
-        )
+        book = construct_codebook(n, FIG2_DARK, power, 0.1, 0.1, max_codewords=16, seed=500 + n)
         validate_codebook(book)  # power constraints + pairwise 2r separation
         ball = power_ball_radius(n, FIG2_DARK, power, FIG2_DARK.memory)
         energies = (book.sqrt_codewords**2).sum(axis=1)
@@ -126,10 +122,7 @@ def test_06_di_monte_carlo_budgets():
     n, seed = 32, 7
     assert memory_scaling(n, 0.25) == FIG2_DARK.memory == 2
     power = PowerConstraints(peak=10.0, average=10.0)
-    book = construct_codebook(
-        n, FIG2_DARK, power, 0.1, 0.1,
-        strategy=ConstructionStrategy(max_codewords=16), seed=seed,
-    )
+    book = construct_codebook(n, FIG2_DARK, power, 0.1, 0.1, max_codewords=16, seed=seed)
     # calibrate to half the budget so the independent verification run can
     # confirm the full budget at Wilson confidence
     calibrate_threshold(book, 10_000, seed, target=0.05)
@@ -146,9 +139,8 @@ def test_07_dif_end_to_end():
     watch = Stopwatch(600.0)
     seed, trials, hash_range = 2026, 10_000, 64
     power = PowerConstraints(peak=5.0, average=5.0)
-    code = build_dif_code(900, FIG2_DARK, peak=5.0, num_messages=128,
-                          hash_range=hash_range, eps=0.2, constraints=power,
-                          seed=seed)
+    code = build_dif_code(900, FIG2_DARK, power, num_messages=128, hash_range=hash_range,
+                          eps=0.2, seed=seed)
     assert code.inner.shape == (hash_range, 30)
     assert code.pilot.size // (FIG2_DARK.memory + 1) == 300
     inner = estimate_inner_error(code, trials, seed)

@@ -130,6 +130,18 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood([0, 0], [1.0, 1.0], FIG2)
 
+    @pytest.mark.parametrize("y", [np.array([1e19, 3.0, 0.0]), [2**63, 1, 0]],
+                             ids=["float-1e19", "int-2**63"])
+    def test_counts_beyond_int64_rejected(self, y):
+        # int64 would wrap them to negative counts
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            log_likelihood(y, [1.0], FIG2)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float16, np.uint64])
+    def test_small_and_unsigned_count_types_accepted(self, dtype):
+        assert log_likelihood(np.array([1, 0, 1], dtype=dtype), [1.0], FIG2) == \
+            log_likelihood([1, 0, 1], [1.0], FIG2)
+
     def test_matches_independent_per_slot_product(self):
         # Independent oracle: per-slot pmf via lgamma, multiplied explicitly.
         params = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], dark_rate=0.3)

@@ -7,7 +7,6 @@ import pytest
 
 from dipc import (
     ChannelParams,
-    ConstructionStrategy,
     DICodebook,
     PowerConstraints,
     calibrate_threshold,
@@ -32,10 +31,7 @@ POWER = PowerConstraints(peak=10.0, average=10.0)
 
 
 def small_book(n=16, max_codewords=8, seed=3) -> DICodebook:
-    return construct_codebook(
-        n, FIG2, POWER, 0.1, 0.1,
-        strategy=ConstructionStrategy(max_codewords=max_codewords), seed=seed,
-    )
+    return construct_codebook(n, FIG2, POWER, 0.1, 0.1, max_codewords, seed=seed)
 
 
 class TestMemoryScaling:
@@ -152,43 +148,38 @@ class TestConstruction:
         # the balanced words of (0, 100) at n=2 are (0, 100) and (100, 0)
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.1)
         c = PowerConstraints(peak=100.0, average=100.0)
-        strategy = ConstructionStrategy(levels=(0.0, 100.0), max_codewords=2)
-        book = construct_codebook(2, params, c, 0.1, 0.1, strategy=strategy, seed=1)
+        book = construct_codebook(2, params, c, 0.1, 0.1, max_codewords=2, levels=(0.0, 100.0),
+                                  seed=1)
         assert book.num_codewords == 2
         s = book.sqrt_codewords
         assert np.linalg.norm(s[0] - s[1]) >= 2 * book.packing_radius
 
     def test_average_budget_rescaling(self):
         tight = PowerConstraints(peak=10.0, average=2.0)
-        book = construct_codebook(
-            12, FIG2, tight, 0.1, 0.1,
-            strategy=ConstructionStrategy(max_codewords=4), seed=9,
-        )
+        book = construct_codebook(12, FIG2, tight, 0.1, 0.1, max_codewords=4, seed=9)
         sums = book.codewords.sum(axis=1)
         assert np.all(sums <= 12 * 2.0 + 1e-9)
 
     def test_invalid_strategy(self):
         with pytest.raises(ValueError):
-            construct_codebook(8, FIG2, POWER, 0.1, 0.1,
-                               strategy=ConstructionStrategy(max_codewords=0))
+            construct_codebook(8, FIG2, POWER, 0.1, 0.1, max_codewords=0)
         with pytest.raises(ValueError):
-            construct_codebook(8, FIG2, POWER, 0.1, 0.1,
-                               strategy=ConstructionStrategy(levels=(0.0, 20.0)))
+            construct_codebook(8, FIG2, POWER, 0.1, 0.1, max_codewords=64, levels=(0.0, 20.0))
 
     def test_budget_separating_no_pair_gives_one_codeword(self):
         tight = PowerConstraints(peak=0.001, average=0.0001)
-        book = construct_codebook(3, FIG2, tight, 1e-6, 1e-6)
+        book = construct_codebook(3, FIG2, tight, 1e-6, 1e-6, max_codewords=64)
         assert book.num_codewords == 1
 
     def test_budget_must_be_feasible(self):
         with pytest.raises(ValueError):
-            construct_codebook(8, FIG2, POWER, 0.6, 0.5)
+            construct_codebook(8, FIG2, POWER, 0.6, 0.5, max_codewords=64)
 
     @pytest.mark.parametrize("scale", [0.5, 0.999, 0.0, -1.0, math.nan])
     def test_separation_scale_below_one_rejected_up_front(self, scale):
         with pytest.raises(ValueError, match="separation_scale must be at least 1"):
-            construct_codebook(4, FIG2, POWER, 0.1, 0.1,
-                               strategy=ConstructionStrategy(separation_scale=scale))
+            construct_codebook(4, FIG2, POWER, 0.1, 0.1, max_codewords=64,
+                               separation_scale=scale)
 
 
 class TestConverseCheck:
@@ -201,10 +192,7 @@ class TestConverseCheck:
         (24, None, 40, 40),  # default levels (0, peak/2, peak)
     ], ids=["di-pack", "default-levels"])
     def test_size_within_packing_bound(self, n, levels, max_codewords, size):
-        book = construct_codebook(
-            n, FIG2, POWER, 0.1, 0.1,
-            strategy=ConstructionStrategy(levels=levels, max_codewords=max_codewords), seed=7,
-        )
+        book = construct_codebook(n, FIG2, POWER, 0.1, 0.1, max_codewords, levels=levels, seed=7)
         assert book.num_codewords == size
         bits = packing_log_count_bound(n, power_ball_radius(n, FIG2, POWER, FIG2.memory),
                                        book.packing_radius)
@@ -213,13 +201,13 @@ class TestConverseCheck:
             assert 38.5 < bits < 39.5  # log2(35) = 5.1 bits against about 39
 
 
-def reference_codewords(n, params, constraints, strategy, seed):
+def reference_codewords(n, params, constraints, seed, max_codewords, levels=None,
+                        separation_scale=1.0):
     """Codewords and candidate count of the per-row packing loop (one norm per
     accepted codeword, one candidate at a time) at Type I and Type II budgets
     0.1, stopping after 200 times the codebook size of consecutive rejections."""
     radius = min_distance_radius(0.1, 0.1)
-    needed = 2.0 * radius * strategy.separation_scale
-    levels = strategy.levels
+    needed = 2.0 * radius * separation_scale
     if levels is None:
         levels = (0.0, constraints.peak / 2.0, constraints.peak)
     levels = np.sort(np.asarray(levels, dtype=float))
@@ -230,7 +218,7 @@ def reference_codewords(n, params, constraints, strategy, seed):
     accepted, sqrt_accepted = [], []
     rejections = 0
     candidate = 0
-    while len(accepted) < strategy.max_codewords:
+    while len(accepted) < max_codewords:
         rng = spawn(seed, "codebook", candidate)
         candidate += 1
         x = rng.permutation(base)
@@ -256,26 +244,24 @@ class TestPackingEquivalence:
     loop, in order, and accepts exactly its codewords."""
 
     CASES = {
-        "balanced-streak-stop": (6, POWER, ConstructionStrategy(max_codewords=1000)),
+        "balanced-streak-stop": (6, POWER, dict(max_codewords=1000)),
         # 35 codewords of 7 slots, then 200 * 35 rejections: more than one
         # batch at the cell cap holds.
-        "on-off-levels": (7, POWER, ConstructionStrategy(levels=(0.0, 10.0),
-                                                         max_codewords=1000)),
-        "wider-separation": (8, POWER, ConstructionStrategy(max_codewords=1000,
-                                                            separation_scale=2.0)),
+        "on-off-levels": (7, POWER, dict(levels=(0.0, 10.0), max_codewords=1000)),
+        "wider-separation": (8, POWER, dict(max_codewords=1000, separation_scale=2.0)),
         "average-rescaled": (6, PowerConstraints(peak=10.0, average=3.0),
-                             ConstructionStrategy(max_codewords=1000, separation_scale=1.5)),
-        "pool-growth-balanced": (12, POWER, ConstructionStrategy(max_codewords=150)),
-        "one-codeword": (6, POWER, ConstructionStrategy(max_codewords=1)),
-        "two-codewords": (6, POWER, ConstructionStrategy(max_codewords=2)),
-        "three-codewords": (6, POWER, ConstructionStrategy(max_codewords=3)),
-        "default-levels-n24": (24, POWER, ConstructionStrategy()),
+                             dict(max_codewords=1000, separation_scale=1.5)),
+        "pool-growth-balanced": (12, POWER, dict(max_codewords=150)),
+        "one-codeword": (6, POWER, dict(max_codewords=1)),
+        "two-codewords": (6, POWER, dict(max_codewords=2)),
+        "three-codewords": (6, POWER, dict(max_codewords=3)),
+        "default-levels-n24": (24, POWER, dict(max_codewords=64)),
     }
 
     @staticmethod
     def build(case, seed, monkeypatch):
         """The case's codebook and the candidate indices it drew, in order."""
-        n, constraints, strategy = TestPackingEquivalence.CASES[case]
+        n, constraints, knobs = TestPackingEquivalence.CASES[case]
         drawn = []
 
         def counting_spawn(master, *path):
@@ -284,15 +270,15 @@ class TestPackingEquivalence:
             return spawn(master, *path)
 
         monkeypatch.setattr(di_code, "spawn", counting_spawn)
-        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, strategy=strategy, seed=seed)
+        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, **knobs, seed=seed)
         return book, drawn
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_codewords_as_per_row_loop(self, case, seed, monkeypatch):
         book, drawn = self.build(case, seed, monkeypatch)
-        n, constraints, strategy = self.CASES[case]
-        expected, candidates = reference_codewords(n, FIG2, constraints, strategy, seed)
+        n, constraints, knobs = self.CASES[case]
+        expected, candidates = reference_codewords(n, FIG2, constraints, seed, **knobs)
         assert drawn == list(range(candidates))
         assert book.num_codewords == expected.shape[0]
         assert np.array_equal(book.codewords, expected)
@@ -342,7 +328,7 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decode_identify(np.zeros(3), 0, book)
 
-    @pytest.mark.parametrize("slot, value", [(0, -3), (1, 0.5)])
+    @pytest.mark.parametrize("slot, value", [(0, -3), (1, 0.5), (2, 1e19), (3, 2.0**63)])
     def test_counts_must_be_nonnegative_integers(self, slot, value):
         book = small_book()
         y = np.zeros(book.block_length + FIG2.memory)
@@ -373,7 +359,7 @@ class TestDecoder:
 class TestCalibration:
     def test_needs_enough_trials(self):
         with pytest.raises(ValueError):
-            calibrate_threshold(small_book(), 10, seed=0)
+            calibrate_threshold(small_book(), 10, seed=0, target=0.1)
 
     def test_vacuous_budget_returns_smallest_observed(self):
         book = small_book()
@@ -401,7 +387,7 @@ class TestCalibration:
 
     def test_updates_book_threshold(self):
         book = small_book()
-        theta = calibrate_threshold(book, 1000, seed=4)
+        theta = calibrate_threshold(book, 1000, seed=4, target=book.type1_budget)
         assert book.threshold == theta
 
     def test_order_statistic_with_ties_is_the_full_sort_value(self):
@@ -515,7 +501,7 @@ class TestErrorEstimation:
         # pinned digest of the rows; any change to the streams, the pair
         # order or the Type I / Type II tally moves it
         book = small_book(max_codewords=4)
-        calibrate_threshold(book, 1000, seed=3)
+        calibrate_threshold(book, 1000, seed=3, target=book.type1_budget)
         res = estimate_errors(book, 300, seed=8)
         rows = json.dumps(res.rows(None), sort_keys=True).encode()
         assert hashlib.sha256(rows).hexdigest() == \
@@ -536,7 +522,7 @@ class TestTwoSidedOracle:
         b[1] += delta  # too close for construct_codebook, so built by hand
         book = DICodebook(codewords=np.stack([a, b]), params=FIG2, constraints=POWER,
                           packing_radius=0.1, type1_budget=0.1, type2_budget=0.1)
-        calibrate_threshold(book, 2000, seed=1)
+        calibrate_threshold(book, 2000, seed=1, target=book.type1_budget)
         res = estimate_errors(book, 4000, seed=2)
         mu = book.intensities  # all n + memory slots
         bc_sq = math.prod(poisson_bhattacharyya_sq(p, q) for p, q in zip(mu[0], mu[1]))
@@ -574,10 +560,7 @@ class TestRateCeilingTrend:
             memory = memory_scaling(n, kappa)
             params = ChannelParams(memory=memory, hit_probs=hit_prob_sets[memory],
                                    dark_rate=0.1)
-            book = construct_codebook(
-                n, params, POWER, 0.1, 0.1,
-                strategy=ConstructionStrategy(max_codewords=16), seed=n,
-            )
+            book = construct_codebook(n, params, POWER, 0.1, 0.1, max_codewords=16, seed=n)
             ceiling = converse_log_count(n, kappa, params, POWER, 0.1, 0.1)
             assert di_rate(book.num_codewords, n) <= ceiling.normalized
 

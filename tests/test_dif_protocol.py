@@ -26,9 +26,21 @@ from dipc import (
     typical_test,
 )
 from dipc.dif_protocol import TypicalSetSpec, dif_power_fits, letter_laws, _ml_decode, _ml_table
+from dipc.measures import DEFAULT_TAIL_MASS
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
+
+
+def full(peak):
+    """A budget every slot may spend at the peak: a DIF code always fits it."""
+    return PowerConstraints(peak=peak, average=peak)
+
+
+def pilot_spec(params, peak, eps):
+    """The typicality test build_dif_code makes for a pilot pulsing at ``peak``."""
+    return TypicalSetSpec(eps=eps, letter_laws=letter_laws(params, peak),
+                          tail_mass=DEFAULT_TAIL_MASS)
 
 
 def standalone_intensities(inner):
@@ -38,7 +50,7 @@ def standalone_intensities(inner):
 
 class TestPilot:
     def pilot_code(self, n, params, peak):
-        return build_dif_code(n, params, peak=peak, num_messages=2, hash_range=1)
+        return build_dif_code(n, params, full(peak), num_messages=2, hash_range=1)
 
     def test_degenerate_memory_fills_every_slot(self):
         params = ChannelParams(memory=0, hit_probs=[1.0])
@@ -57,15 +69,15 @@ class TestPilot:
         np.testing.assert_allclose(letter_laws(FIG2, 10.0), [6.1, 3.1, 1.1])
 
     @pytest.mark.parametrize("n, peak, message", [
-        (5, 0.0, "pilot amplitude must be positive"),
-        (5, -1.0, "pilot amplitude must be positive"),
+        (5, 0.0, "peak and average limits must be positive"),
+        (5, -1.0, "peak and average limits must be positive"),
         (0, 3.0, "phase-1 length must be positive"),
         (-4, 3.0, "phase-1 length must be positive"),
     ], ids=["peak-zero", "peak-negative", "n-zero", "n-negative"])
     def test_degenerate_pilot_rejected(self, n, peak, message):
         with pytest.raises(ValueError, match=message):
-            build_dif_code(n, FIG2, peak=peak, num_messages=2, hash_range=1,
-                           constraints=PowerConstraints(peak=5.0, average=5.0))
+            build_dif_code(n, FIG2, PowerConstraints(peak=peak, average=5.0), num_messages=2,
+                           hash_range=1)
 
 
 class TestBlockize:
@@ -84,7 +96,7 @@ class TestBlockize:
 
 class TestTypicality:
     def spec(self, eps=0.2):
-        return TypicalSetSpec.from_channel(FIG2, 5.0, eps=eps)
+        return pilot_spec(FIG2, 5.0, eps=eps)
 
     def test_true_law_samples_are_members(self):
         spec = self.spec()
@@ -126,14 +138,14 @@ class TestTypicality:
 
     def test_log_size_memoryless(self):
         params = ChannelParams(memory=0, hit_probs=[1.0])
-        spec = TypicalSetSpec.from_channel(params, 1.0, eps=0.2)
+        spec = pilot_spec(params, 1.0, eps=0.2)
         assert typical_log_size(100, spec) == pytest.approx(
             100 * poisson_entropy_exact(1.0)
         )
 
     def test_log_size_with_memory(self):
         params = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], dark_rate=0.0)
-        spec = TypicalSetSpec.from_channel(params, 10.0, eps=0.2)
+        spec = pilot_spec(params, 10.0, eps=0.2)
         expected = math.ceil(100 / 3) * (
             poisson_entropy_exact(6.0)
             + poisson_entropy_exact(3.0)
@@ -239,34 +251,27 @@ class TestBuildDIFCode:
     def test_average_power_guard(self):
         tight = PowerConstraints(peak=5.0, average=0.5)
         with pytest.raises(ValueError):
-            build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4,
-                           constraints=tight)
-
-    def test_peak_guard(self):
-        with pytest.raises(ValueError):
-            build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4,
-                           constraints=PowerConstraints(peak=4.0, average=4.0))
+            build_dif_code(90, FIG2, tight, num_messages=8, hash_range=4)
 
     @pytest.mark.parametrize("average", [1.0, 1.7, 1.8, 5.0])
     def test_average_power_guard_is_dif_power_fits(self, average):
         # n=90: 30 pilot pulses plus 5 of the 10 inner slots, 35 * 5.0 <= 100 * average
         constraints = PowerConstraints(peak=5.0, average=average)
-        fits = dif_power_fits(90, FIG2.memory, 4, 5.0, constraints)
+        fits = dif_power_fits(90, FIG2.memory, 4, constraints)
         assert fits == (average >= 1.75)
         try:
-            build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4,
-                           constraints=constraints)
+            build_dif_code(90, FIG2, constraints, num_messages=8, hash_range=4)
         except ValueError:
             assert not fits
         else:
             assert fits
 
     def test_phase2_includes_pilot_tail_only_when_truncated(self):
-        aligned = build_dif_code(90, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=0)
+        aligned = build_dif_code(90, FIG2, full(5.0), num_messages=8, hash_range=4, seed=0)
         np.testing.assert_allclose(
             aligned.phase2_intensities, standalone_intensities(aligned.inner)
         )
-        truncated = build_dif_code(91, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=0)
+        truncated = build_dif_code(91, FIG2, full(5.0), num_messages=8, hash_range=4, seed=0)
         spill = truncated.phase2_intensities - standalone_intensities(truncated.inner)
         assert spill[:, : FIG2.memory].max() > 0
         np.testing.assert_allclose(spill[:, FIG2.memory :], 0.0, atol=1e-12)
@@ -274,7 +279,7 @@ class TestBuildDIFCode:
 
 class TestProtocolRoundTrip:
     def code(self, n=90, hash_range=8, seed=5):
-        return build_dif_code(n, FIG2, peak=5.0, num_messages=32,
+        return build_dif_code(n, FIG2, full(5.0), num_messages=32,
                               hash_range=hash_range, seed=seed)
 
     def test_encode_deterministic(self):
@@ -341,7 +346,7 @@ class TestProtocolRoundTrip:
                 assert dif_identify(candidate, y.astype(float), code) == \
                     dif_identify(candidate, y, code)
 
-    @pytest.mark.parametrize("bad", [-1, 0.5])
+    @pytest.mark.parametrize("bad", [-1, 0.5, 1e19, 2.0**63])
     def test_bad_counts_rejected(self, bad):
         code = self.code()
         y, _ = dif_encode(3, code, seed=0)
@@ -355,14 +360,14 @@ class TestErrorEstimation:
     def test_degenerate_single_hash(self):
         # hash range 1: decoding always agrees, so the only rejection source
         # is atypicality and every tested wrong message is accepted otherwise
-        code = build_dif_code(60, FIG2, peak=5.0, num_messages=4, hash_range=1, seed=2)
+        code = build_dif_code(60, FIG2, full(5.0), num_messages=4, hash_range=1, seed=2)
         res = estimate_dif_errors(code, [(0, 1)], trials=300, seed=3)
         assert res.type2[(0, 1)].estimate == pytest.approx(
             1.0 - res.type1[0].estimate, abs=1e-12
         )
 
     def test_deterministic(self):
-        code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
+        code = build_dif_code(60, FIG2, full(5.0), num_messages=8, hash_range=4, seed=2)
         r1 = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
         r2 = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
         assert r1.type1 == r2.type1 and r1.type2 == r2.type2
@@ -370,7 +375,7 @@ class TestErrorEstimation:
     def test_rows_pinned(self):
         # pinned digest of the rows; any change to the per-trial
         # streams, the hashing or the Type I / Type II tally moves it
-        code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
+        code = build_dif_code(60, FIG2, full(5.0), num_messages=8, hash_range=4, seed=2)
         res = estimate_dif_errors(code, [(0, 1), (2, 0), (0, 3), (1, 0)], trials=200, seed=5)
         rows = json.dumps(res.rows(None), sort_keys=True).encode()
         assert hashlib.sha256(rows).hexdigest() == \
@@ -378,21 +383,21 @@ class TestErrorEstimation:
         assert res.extras == {"atypical": 51}
 
     def test_repeated_pair_measured_once(self):
-        code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
+        code = build_dif_code(60, FIG2, full(5.0), num_messages=8, hash_range=4, seed=2)
         once = estimate_dif_errors(code, [(0, 1), (1, 0)], trials=200, seed=5)
         twice = estimate_dif_errors(code, [(0, 1), (0, 1), (1, 0)], trials=200, seed=5)
         assert twice.rows(None) == once.rows(None)
         assert twice.extras["atypical"] == once.extras["atypical"]
 
     def test_pair_validation(self):
-        code = build_dif_code(60, FIG2, peak=5.0, num_messages=8, hash_range=4, seed=2)
+        code = build_dif_code(60, FIG2, full(5.0), num_messages=8, hash_range=4, seed=2)
         with pytest.raises(ValueError):
             estimate_dif_errors(code, [(1, 1)], trials=10, seed=0)
         with pytest.raises(ValueError):
             estimate_dif_errors(code, [(0, 1)], trials=0, seed=0)
 
     def test_inner_error_estimate(self):
-        code = build_dif_code(100, FIG2, peak=10.0, num_messages=8, hash_range=4, seed=2)
+        code = build_dif_code(100, FIG2, full(10.0), num_messages=8, hash_range=4, seed=2)
         est = estimate_inner_error(code, trials=2000, seed=9)
         assert est.estimate <= 0.005
         est2 = estimate_inner_error(code, trials=2000, seed=9)
@@ -406,7 +411,7 @@ class TestDarkRateZero:
                            dark_rate=0.0)
 
     def code(self):
-        return build_dif_code(64, self.SILENT, peak=10.0, num_messages=8, hash_range=4, seed=2)
+        return build_dif_code(64, self.SILENT, full(10.0), num_messages=8, hash_range=4, seed=2)
 
     def test_ml_scores_unchanged_and_silent(self):
         mu = self.code().phase2_intensities
@@ -483,7 +488,7 @@ class TestMaxMessages:
         )
 
     def test_constructed_code_rate_below_bound(self):
-        code = build_dif_code(90, FIG2, peak=5.0, num_messages=128, hash_range=16,
+        code = build_dif_code(90, FIG2, full(5.0), num_messages=128, hash_range=16,
                               seed=1)
         achieved = dif_rate(math.log2(math.log2(code.hashes.num_messages)), code.n)
         bound = dif_rate(max_messages_log_log(code.n, FIG2, peak=5.0), code.n)
@@ -549,7 +554,7 @@ class TestTypicalityEquivalence:
             assert set(spec._flat[3]) == set(self.COUNTS)
 
     def test_true_law_decisions_match_at_every_count(self):
-        spec = TypicalSetSpec.from_channel(FIG2, 10.0, eps=0.2)
+        spec = pilot_spec(FIG2, 10.0, eps=0.2)
         rng = np.random.default_rng(8)
         for count in (1, 3, 50, 300, 50, 1):  # cached tolerances reused
             for _ in range(25):
@@ -557,7 +562,7 @@ class TestTypicalityEquivalence:
                 assert typical_test(blocks, spec) == reference_typical_test(blocks, spec)
 
     def test_negative_count_rejected(self):
-        spec = TypicalSetSpec.from_channel(FIG2, 10.0, eps=0.2)
+        spec = pilot_spec(FIG2, 10.0, eps=0.2)
         blocks = np.ones((4, 3), dtype=int)
         blocks[2, 2] = -1
         with pytest.raises(ValueError, match="counts must be nonnegative"):
@@ -575,7 +580,7 @@ def reference_ml_decode(y, intensities):
 class TestCachedMLTable:
     @pytest.mark.parametrize("params", [FIG2, TestDarkRateZero.SILENT], ids=["dark", "silent"])
     def test_same_argmax_as_uncached_decode(self, params):
-        code = build_dif_code(64, params, peak=10.0, num_messages=8, hash_range=4, seed=2)
+        code = build_dif_code(64, params, full(10.0), num_messages=8, hash_range=4, seed=2)
         table = code.phase2_table
         assert table is code.phase2_table  # computed once per code
         np.testing.assert_array_equal(table[1], code.phase2_intensities.sum(axis=1))

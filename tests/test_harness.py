@@ -13,8 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dipc import (ConstructionStrategy, DICodebook, PowerConstraints, construct_codebook,
-                  decode_identify)
+from dipc import DICodebook, PowerConstraints, construct_codebook, decode_identify
 from dipc.cli import main as cli_main
 from dipc.errors import ConfigError
 from dipc import harness
@@ -461,10 +460,14 @@ class TestWrittenFiles:
         assert now == {name: data for name, data in old.items() if name != "meta.json"}
 
 
+# Files json cannot read: not UTF-8, and nested deeper than the parser recurses.
+UNREADABLE_JSON = {"not-utf8": b"\xff\xfe{}", "nested-too-deep": b"[" * 100_000}
+
+
 def small_book():
     return construct_codebook(12, serialize.channel_from_dict(CHANNEL),
                               PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
-                              strategy=ConstructionStrategy(max_codewords=3), seed=5)
+                              max_codewords=3, seed=5)
 
 
 class TestSerialization:
@@ -570,6 +573,13 @@ class TestSerialization:
         path = tmp_path / "book.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            serialize.load_codebook(path)
+
+    @pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+    def test_unreadable_codebook_file_raises_value_error(self, text, tmp_path):
+        path = tmp_path / "book.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError):
             serialize.load_codebook(path)
 
 
@@ -682,6 +692,13 @@ class TestCLI:
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["bounds", "--config", str(tmp_path / "nope.json")])
         assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config-load"
+
+    @pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+    def test_unreadable_config_file(self, text, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert cli_main(["bounds", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config-load"
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dipc import ChannelParams, ConstructionStrategy, PowerConstraints
+from dipc import ChannelParams, PowerConstraints
 from dipc import calibrate_threshold, construct_codebook, estimate_errors
 from dipc.results import sender_map
 
@@ -34,9 +34,8 @@ def test_di_results_identical_across_cpu_counts(monkeypatch):
     for count in (1, 2, 4):
         set_cpus(monkeypatch, count)
         book = construct_codebook(16, FIG2, PowerConstraints(peak=10.0, average=10.0),
-                                  0.1, 0.1, strategy=ConstructionStrategy(max_codewords=8),
-                                  seed=3)
-        threshold = calibrate_threshold(book, 1000, seed=3)
+                                  0.1, 0.1, max_codewords=8, seed=3)
+        threshold = calibrate_threshold(book, 1000, seed=3, target=book.type1_budget)
         result = estimate_errors(book, 300, seed=8)
         outcomes.append((threshold, result.rows(None), result.extras))
     assert book.num_codewords == 8

@@ -1,5 +1,7 @@
 """Every module-level name of ``dipc`` is used, and every default is
-overridden, by the package, a demo or the benchmark, not only by tests.
+overridden, by the package, a demo or the benchmark, not only by tests; and
+every None default is left out by one of them, so no None fork serves tests
+alone.
 
 A name counts as used when some file under ``src/``, ``demos/`` or
 ``bench/`` loads it, reads it as an attribute, imports it (the package's
@@ -87,7 +89,8 @@ def _is_dataclass(node):
 
 def _signatures(module, tree):
     """(qualified name, callable name, parameters in positional order, the
-    defaulted ones) of every function and dataclass constructor."""
+    defaulted ones mapped to their default expressions) of every function and
+    dataclass constructor."""
     def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
@@ -95,7 +98,7 @@ def _signatures(module, tree):
                     fields = [s for s in child.body if isinstance(s, ast.AnnAssign)
                               and not _is_init_false(s.value)]
                     yield (f"{prefix}{child.name}", child.name, [s.target.id for s in fields],
-                           [s.target.id for s in fields if s.value is not None])
+                           {s.target.id: s.value for s in fields if s.value is not None})
                 yield from visit(child, f"{prefix}{child.name}.", True)
             elif isinstance(child, ast.FunctionDef):
                 a = child.args
@@ -103,8 +106,9 @@ def _signatures(module, tree):
                 if in_class and not any(getattr(d, "id", None) == "staticmethod"
                                         for d in child.decorator_list):
                     positional = positional[1:]  # self or cls, bound by the attribute
-                defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
-                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defaulted = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                defaulted.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                                 if d is not None)
                 yield f"{prefix}{child.name}", child.name, positional, defaulted
                 yield from visit(child, f"{prefix}{child.name}.", False)
     yield from visit(tree, f"{module}.", False)
@@ -112,13 +116,15 @@ def _signatures(module, tree):
 
 def _defaults():
     """(callable name, parameter, its positional index or None, qualified
-    name) of every defaulted parameter and dataclass field of dipc."""
+    name, whether the default is None) of every defaulted parameter and
+    dataclass field of dipc."""
     for path in sorted(PACKAGE.glob("*.py")):
         for qualified, name, positional, defaulted in _signatures(path.stem,
                                                                    ast.parse(path.read_text())):
-            for param in defaulted:
+            for param, default in defaulted.items():
                 index = positional.index(param) if param in positional else None
-                yield name, param, index, f"{qualified}.{param}"
+                is_none = isinstance(default, ast.Constant) and default.value is None
+                yield name, param, index, f"{qualified}.{param}", is_none
 
 
 def _calls(tree):
@@ -132,11 +138,16 @@ def _calls(tree):
             yield name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
 
 
+def _callers():
+    """Every call in src/, demos/ and bench/."""
+    return [call for top in ("src", "demos", "bench")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for call in _calls(ast.parse(path.read_text()))]
+
+
 def test_every_default_is_set_by_some_caller():
-    calls = [call for top in ("src", "demos", "bench")
-             for path in sorted((ROOT / top).rglob("*.py"))
-             for call in _calls(ast.parse(path.read_text()))]
-    unset = {qualified for name, param, index, qualified in _defaults()
+    calls = _callers()
+    unset = {qualified for name, param, index, qualified, _ in _defaults()
              if not any(called == name and (param in keywords or None in keywords
                                             or index is not None and index < positional)
                         for called, positional, keywords in calls)}
@@ -145,4 +156,16 @@ def test_every_default_is_set_by_some_caller():
 
 
 def test_unset_kept_names_exist():
-    assert UNSET_KEPT <= {qualified for _, _, _, qualified in _defaults()}
+    assert UNSET_KEPT <= {qualified for _, _, _, qualified, _ in _defaults()}
+
+
+def test_every_none_default_is_left_out_by_some_caller():
+    # a None default that every caller overrides is a fork only tests take
+    calls = _callers()
+    always_set = sorted(
+        qualified for name, param, index, qualified, is_none in _defaults()
+        if is_none and not any(called == name and param not in keywords and None not in keywords
+                               and (index is None or index >= positional)
+                               for called, positional, keywords in calls))
+    assert not always_set, f"None defaults that no caller in src/, demos/ or bench/ leaves out:" \
+                           f" {always_set}"
