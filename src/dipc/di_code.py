@@ -182,8 +182,8 @@ def construct_codebook(
     if levels is None:
         levels = (0.0, constraints.peak / 2.0, constraints.peak)
     levels = np.sort(np.asarray(levels, dtype=float))
-    if np.any(levels < 0) or np.any(levels > constraints.peak):
-        raise ValueError("level alphabet must lie in [0, peak]")
+    if levels.size == 0 or not np.all((levels >= 0) & (levels <= constraints.peak)):
+        raise ValueError("level alphabet must be nonempty and lie in [0, peak]")
     if max_codewords < 1:
         raise ValueError("max_codewords must be at least 1")
     if not separation_scale >= 1:

@@ -75,20 +75,16 @@ class TypicalSetSpec:
             raise ValueError("typicality slack must be positive")
 
     @cached_property
-    def _tables(self):
-        """Per position: (y_max, extended pmf incl. overflow bucket)."""
-        tables = []
-        for law in self.letter_laws:
-            dist = poisson_pmf_truncated(float(law), self.tail_mass)
-            tables.append((int(dist.support[-1]), np.append(dist.mass, dist.tail_bound)))
-        return tables
-
-    @cached_property
-    def _flat(self):
-        """Caps y_max+1, first buckets, joined pmfs, typical_test's tolerances by count."""
-        caps = np.array([y_max + 1 for y_max, _ in self._tables])
+    def _table(self):
+        """Per position: the cap y_max+1 and its first bucket.  Per bucket
+        (counts 0..y_max, then one overflow bucket): the pmf, the base
+        tolerance eps*pmf + eps/(y_max+1) and the variance pmf*(1-pmf)."""
+        dists = [poisson_pmf_truncated(float(law), self.tail_mass) for law in self.letter_laws]
+        caps = np.array([dist.support[-1] + 1 for dist in dists])
         offsets = np.concatenate([[0], np.cumsum(caps + 1)[:-1]])
-        return caps, offsets, np.concatenate([pmf for _, pmf in self._tables]), {}
+        pmf = np.concatenate([np.append(dist.mass, dist.tail_bound) for dist in dists])
+        base = self.eps * pmf + self.eps / np.repeat(caps, caps + 1)
+        return caps, offsets, pmf, base, pmf * (1.0 - pmf)
 
 
 def typical_test(blocks, spec: TypicalSetSpec) -> bool:
@@ -109,17 +105,13 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
     count = blocks.shape[0]
     if count == 0:
         raise ValueError("need at least one block")
-    caps, offsets, pmf, tolerances = spec._flat
+    caps, offsets, pmf, base, variance = spec._table
     values = np.minimum(blocks, caps)
     if values.min() < 0:
         raise ValueError("counts must be nonnegative")
     freq = np.bincount((values + offsets).ravel(), minlength=pmf.size) / count
-    if count not in tolerances:
-        tolerances[count] = np.concatenate([
-            spec.eps * mass + spec.eps / (y_max + 1)
-            + TYPICALITY_GUARD_SIGMAS * np.sqrt(mass * (1.0 - mass) / count)
-            for y_max, mass in spec._tables])
-    return not np.any(np.abs(freq - pmf) > tolerances[count])
+    tolerance = base + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count)
+    return not np.any(np.abs(freq - pmf) > tolerance)
 
 
 def typical_log_size(n: int, spec: TypicalSetSpec) -> float:
@@ -298,10 +290,10 @@ def build_dif_code(
 
     The pilot and the inner codewords pulse at ``constraints.peak``; the
     pilot plus the worst-case inner codeword must fit the average budget
-    (:func:`dif_power_fits`).
+    (:func:`dif_power_fits`).  The pilot needs a full block: n > memory.
     """
-    if n < 1:
-        raise ValueError("phase-1 length must be positive")
+    if n <= params.memory:
+        raise ValueError(f"phase-1 length must be positive and exceed memory={params.memory}")
     if not dif_power_fits(n, params.memory, hash_range, constraints):
         raise ValueError("the pilot plus the heaviest inner codeword exceed the average budget")
     peak = constraints.peak

@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .measures import DEFAULT_TAIL_MASS, MAX_MEAN
 from .results import result_row
 from .serialize import (_BUDGET, _LINK, _REQUIRED, _check, _integer, _is_int, _is_number, _list,
-                        _number, _problems)
+                        _loads, _number, _problems)
 
 RESULT_SCHEMA_VERSION = 1
 OUT_DIR_ENV = "DIPC_OUT_DIR"
@@ -312,7 +312,8 @@ def emit_plot_data(rows: list[dict], path) -> None:
 
 
 def read_plot_data(path) -> list[dict]:
-    """Parse a file written by :func:`emit_plot_data`."""
+    """Parse a file written by :func:`emit_plot_data`.  Raises ValueError on
+    a cell that is not JSON."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -320,7 +321,7 @@ def read_plot_data(path) -> list[dict]:
         except StopIteration:
             return []
         return [
-            {name: json.loads(cell) for name, cell in zip(header, row)}
+            {name: _loads(cell) for name, cell in zip(header, row)}
             for row in reader
         ]
 
@@ -491,7 +492,7 @@ def read_results(path) -> tuple[dict, list[dict]]:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            record = _loads(line)
             if not isinstance(record, dict):
                 raise ValueError(f"line {number}: expected a JSON object,"
                                  f" got {type(record).__name__}")

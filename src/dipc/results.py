@@ -98,8 +98,6 @@ def sender_map(fn, senders) -> list:
     else:  # no affinity call outside Linux and a few other systems
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(senders))
-    if workers <= 1:
-        return [fn(s) for s in senders]
 
     import contextvars
     import threading

@@ -220,14 +220,20 @@ def save_codebook(book: DICodebook, path) -> None:
         fh.write(text.replace('"codewords": 0', '"codewords": ' + rows, 1) + "\n")
 
 
+def _loads(text: str):
+    """``json.loads``, raising ValueError on too deep nesting as on any other
+    malformed text, not the parser's RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def read_json(path):
     """The JSON document in a UTF-8 file.  Raises OSError when the file cannot
     be read and ValueError when it is not UTF-8 JSON, too deep nesting included."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+        return _loads(fh.read())
 
 
 def load_codebook(path) -> DICodebook:

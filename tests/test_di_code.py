@@ -166,6 +166,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             construct_codebook(8, FIG2, POWER, 0.1, 0.1, max_codewords=64, levels=(0.0, 20.0))
 
+    @pytest.mark.parametrize("levels", [[], [math.nan, 10.0]], ids=["empty", "nan"])
+    def test_level_alphabet_must_be_nonempty_numbers_in_range(self, levels):
+        with pytest.raises(ValueError, match=r"level alphabet must be nonempty and lie in \[0, peak\]"):
+            construct_codebook(8, FIG2, POWER, 0.1, 0.1, max_codewords=4, levels=levels)
+
     def test_budget_separating_no_pair_gives_one_codeword(self):
         tight = PowerConstraints(peak=0.001, average=0.0001)
         book = construct_codebook(3, FIG2, tight, 1e-6, 1e-6, max_codewords=64)

@@ -25,8 +25,9 @@ from dipc import (
     typical_log_size,
     typical_test,
 )
-from dipc.dif_protocol import TypicalSetSpec, dif_power_fits, letter_laws, _ml_decode, _ml_table
-from dipc.measures import DEFAULT_TAIL_MASS
+from dipc.dif_protocol import (TYPICALITY_GUARD_SIGMAS, TypicalSetSpec, dif_power_fits,
+                               letter_laws, _ml_decode, _ml_table)
+from dipc.measures import DEFAULT_TAIL_MASS, poisson_pmf_truncated
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -41,6 +42,14 @@ def pilot_spec(params, peak, eps):
     """The typicality test build_dif_code makes for a pilot pulsing at ``peak``."""
     return TypicalSetSpec(eps=eps, letter_laws=letter_laws(params, peak),
                           tail_mass=DEFAULT_TAIL_MASS)
+
+
+def position_pmfs(spec):
+    """Per in-block position: (y_max, pmf over 0..y_max plus the overflow
+    bucket), from the Poisson law itself rather than the spec's table."""
+    for law in spec.letter_laws:
+        dist = poisson_pmf_truncated(float(law), spec.tail_mass)
+        yield int(dist.support[-1]), np.append(dist.mass, dist.tail_bound)
 
 
 def standalone_intensities(inner):
@@ -78,6 +87,18 @@ class TestPilot:
         with pytest.raises(ValueError, match=message):
             build_dif_code(n, FIG2, PowerConstraints(peak=peak, average=5.0), num_messages=2,
                            hash_range=1)
+
+    def test_pilot_needs_a_full_block(self):
+        # at n = memory the pilot (peak, 0) has no full block to test or hash
+        with pytest.raises(ValueError, match="phase-1 length must be positive and exceed memory=2"):
+            self.pilot_code(FIG2.memory, FIG2, peak=10.0)
+        code = self.pilot_code(FIG2.memory + 1, FIG2, peak=10.0)
+        assert blockize(code.pilot, FIG2.memory).shape == (1, 3)
+        y, transcript = dif_encode(0, code, seed=1)
+        assert transcript.blocks.shape == (1, 3)
+        assert isinstance(dif_identify(0, y, code), bool)
+        result = estimate_dif_errors(code, [(0, 1)], trials=3, seed=1)
+        assert result.type1[0].trials == 3
 
 
 class TestBlockize:
@@ -157,7 +178,7 @@ class TestTypicality:
         # mean 0 puts all mass on count 0; one count of 1 in 3 blocks puts 1/3
         # in the overflow bucket, beyond its eps/|support| = 0.2 tolerance
         spec = TypicalSetSpec(eps=0.2, letter_laws=[0.0, 3.0], tail_mass=1e-12)
-        y_max, pmf = spec._tables[0]
+        y_max, pmf = next(position_pmfs(spec))
         assert y_max == 0 and pmf.tolist() == [1.0, 0.0]
         blocks = np.array([[0, 3], [0, 2], [0, 4]])
         assert typical_test(blocks, spec)
@@ -513,7 +534,7 @@ def reference_typical_test(blocks, spec):
     """The per-position typicality loop: one bincount and one tolerance per
     in-block position, stopping at the first atypical position."""
     count = blocks.shape[0]
-    for k, (y_max, pmf) in enumerate(spec._tables):
+    for k, (y_max, pmf) in enumerate(position_pmfs(spec)):
         values = np.minimum(blocks[:, k], y_max + 1)
         freq = np.bincount(values, minlength=y_max + 2) / count
         slack = 4.0 * np.sqrt(pmf * (1.0 - pmf) / count)
@@ -521,6 +542,15 @@ def reference_typical_test(blocks, spec):
         if np.any(np.abs(freq - pmf) > tol):
             return False
     return True
+
+
+def per_position_tolerance(spec, count):
+    """The typicality tolerance at ``count`` blocks, computed position by
+    position and joined."""
+    return np.concatenate([
+        spec.eps * mass + spec.eps / (y_max + 1)
+        + TYPICALITY_GUARD_SIGMAS * np.sqrt(mass * (1.0 - mass) / count)
+        for y_max, mass in position_pmfs(spec)])
 
 
 class TestTypicalityEquivalence:
@@ -551,7 +581,20 @@ class TestTypicalityEquivalence:
             outcomes.add(expected)
         if not math.isinf(eps):
             assert outcomes == {True, False}
-            assert set(spec._flat[3]) == set(self.COUNTS)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
+    def test_table_tolerance_is_per_position_expression(self, eps):
+        # typical_test's tolerance, from the table, bit for bit the joined
+        # per-position vectors at every count
+        for spec, blocks in self.cases(eps, seed=int(eps * 100)):
+            caps, offsets, pmf, base, variance = spec._table
+            pmfs = list(position_pmfs(spec))
+            assert caps.tolist() == [y_max + 1 for y_max, _ in pmfs]
+            assert offsets.tolist() == np.cumsum([0] + [m.size for _, m in pmfs])[:-1].tolist()
+            assert np.array_equal(pmf, np.concatenate([m for _, m in pmfs]))
+            count = blocks.shape[0]
+            tolerance = base + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count)
+            assert np.array_equal(tolerance, per_position_tolerance(spec, count))
 
     def test_true_law_decisions_match_at_every_count(self):
         spec = pilot_spec(FIG2, 10.0, eps=0.2)

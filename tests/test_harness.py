@@ -263,6 +263,12 @@ class TestPlotData:
         with pytest.raises(OSError):
             emit_plot_data([{"a": 1}], tmp_path / "missing" / "file.csv")
 
+    def test_too_deep_cell_raises_value_error(self, tmp_path):
+        path = tmp_path / "deep.csv"
+        path.write_text("a\n" + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match="JSON nested too deeply"):
+            read_plot_data(path)
+
 
 class TestResultFiles:
     def test_unknown_schema_rejected(self, tmp_path):
@@ -283,6 +289,12 @@ class TestResultFiles:
         path = tmp_path / "results.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
+            read_results(path)
+
+    def test_too_deep_line_raises_value_error(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text(self.HEADER + "\n" + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match="JSON nested too deeply"):
             read_results(path)
 
     def test_summary_columns(self, tmp_path):

@@ -56,6 +56,10 @@ def test_keeps_input_order_when_later_senders_finish_first(cpus):
         assert finished != sorted(finished)
 
 
+def test_no_senders():
+    assert sender_map(lambda s: 1 / 0, []) == []
+
+
 def test_calling_thread_runs_senders(cpus):
     def fn(s):
         time.sleep(0.01)
