@@ -89,6 +89,14 @@ def as_counts(y) -> np.ndarray:
     return y.astype(np.int64)
 
 
+def check_index(index, count: int) -> int:
+    """``index`` as an int.  Raises IndexError unless it is an integral
+    message index in [0, count); a bool is not one."""
+    if isinstance(index, (bool, np.bool_)) or not (0 <= index < count and index == int(index)):
+        raise IndexError(f"message index {index} is not an integer in [0, {count})")
+    return int(index)
+
+
 def effective_intensity(x, params: ChannelParams) -> np.ndarray:
     """Per-slot Poisson means for input ``x``, length ``n + memory``.
 

@@ -15,7 +15,8 @@ import sys
 import time
 
 from .errors import ConfigError
-from .harness import KINDS, OUT_DIR_ENV, SCHEMAS, run, validate_config, write_meta, write_outputs
+from .harness import (KINDS, OUT_DIR_ENV, SCHEMAS, config_digest, run, validate_config, write_meta,
+                      write_outputs)
 from .serialize import read_json
 
 
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
         print(_error_record("config", violations=exc.violations), file=sys.stderr)
         return 2
 
-    out_dir = config.out_dir or os.environ.get(OUT_DIR_ENV) or "dipc-out"
+    out_dir = config.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "dipc-out"
     started = time.time()
     try:
         output = run(config)
@@ -72,8 +73,8 @@ def main(argv=None) -> int:
         return 1
 
     print(json.dumps({
-        "kind": config.kind,
-        "config_digest": output.digest,
+        "kind": config["kind"],
+        "config_digest": config_digest(config),
         "rows": len(output.rows),
         "out_dir": out_dir,
         "files": written,

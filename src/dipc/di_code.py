@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, as_counts, effective_intensity,
+from .channel import (ChannelParams, PowerConstraints, as_counts, check_index, effective_intensity,
                       validate_power)
 from .measures import min_distance_radius
 from .results import SimResult, sender_map, tally
@@ -257,8 +257,7 @@ def decode_identify(y, index: int, book: DICodebook) -> bool:
     """Test "was codeword ``index`` sent?": accept iff the per-slot mean
     absolute deviation from its intensity is at most the threshold.  Counts
     must be nonnegative integers; integral floats are accepted."""
-    if not 0 <= index < book.num_codewords:
-        raise IndexError(f"message index {index} outside [0, {book.num_codewords})")
+    index = check_index(index, book.num_codewords)
     y = as_counts(y)
     n = book.block_length
     if y.ndim != 1 or y.size != n + book.params.memory:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelParams, PowerConstraints, as_counts, effective_intensity
+from .channel import ChannelParams, PowerConstraints, as_counts, check_index, effective_intensity
 from .errors import ConstructionError
 from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
@@ -145,25 +145,24 @@ class HashFamily:
                                key=int(self.master_seed).to_bytes(16, "little", signed=True))
 
 
-def _check_index(index, num_messages: int) -> None:
-    """IndexError unless ``index`` is an integral message index in [0, num_messages)."""
-    if not (0 <= index < num_messages and index == int(index)):
-        raise IndexError(f"message index {index} is not an integer in [0, {num_messages})")
-
-
 def hash_message(index: int, blocks, family: HashFamily) -> int:
     """Hash value in [1, hash_range] for (message, shared block string): the
     keyed BLAKE2b of the index (16 bytes), the row and column counts (8 bytes
     each, all little-endian) and the blocks as C-ordered ``<u8``."""
-    _check_index(index, family.num_messages)
+    index = check_index(index, family.num_messages)
     blocks = np.ascontiguousarray(blocks, dtype="<u8")
     if blocks.ndim != 2:
         raise ValueError(f"blocks must be 2-D, got shape {blocks.shape}")
     h = family._keyed.copy()
-    h.update(int(index).to_bytes(16, "little"))
+    h.update(index.to_bytes(16, "little"))
     h.update(np.array(blocks.shape, dtype="<u8"))
     h.update(blocks)
     return 1 + int.from_bytes(h.digest(), "little") % family.hash_range
+
+
+def inner_length(n: int) -> int:
+    """ceil(sqrt(n)) for n >= 1, exactly: the inner codeword length."""
+    return math.isqrt(n - 1) + 1
 
 
 def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndarray:
@@ -172,7 +171,7 @@ def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndar
     balanced pool is too small."""
     if hash_range < 1:
         raise ValueError("hash range must be positive")
-    length = math.ceil(math.sqrt(n))
+    length = inner_length(n)
     if hash_range > 2 ** length:
         raise ValueError(
             f"hash range {hash_range} exceeds the 2^{length} distinct binary patterns"
@@ -203,7 +202,7 @@ def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndar
 def inner_pulse_bound(n: int, hash_range: int) -> int:
     """Most peak slots a codeword of ``build_inner_code(n, hash_range, ...)``
     can hold: half its length while the balanced patterns suffice, else all."""
-    length = math.ceil(math.sqrt(n))
+    length = inner_length(n)
     # from length 68 on there are over 2**63 balanced patterns
     balanced = length >= 68 or hash_range <= math.comb(length, length // 2)
     return length // 2 if balanced else length
@@ -214,7 +213,7 @@ def dif_power_fits(n: int, memory: int, hash_range: int, constraints: PowerConst
     the peak-amplitude pilot plus the heaviest inner codeword
     :func:`inner_pulse_bound` allows."""
     worst = (math.ceil(n / (memory + 1)) + inner_pulse_bound(n, hash_range)) * constraints.peak
-    return worst <= (n + math.ceil(math.sqrt(n))) * constraints.average + 1e-9
+    return worst <= (n + inner_length(n)) * constraints.average + 1e-9
 
 
 def _ml_table(intensities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +340,7 @@ def dif_identify(index: int, y, code: DIFCode) -> bool:
     """Verifier for "was message ``index`` sent?": reject atypical strings,
     otherwise ML-decode the phase-2 window and compare hash values.  Counts
     must be nonnegative integers; integral floats are accepted."""
-    _check_index(index, code.hashes.num_messages)
+    index = check_index(index, code.hashes.num_messages)
     y = as_counts(y)
     if y.ndim != 1 or y.size != code.output_length:
         raise ValueError(f"output length must be {code.output_length}, got {y.size}")

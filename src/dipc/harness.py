@@ -23,7 +23,8 @@ from . import bounds as bounds_mod
 from . import serialize
 from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook, calibrate_threshold, construct_codebook, estimate_errors
-from .dif_protocol import build_dif_code, dif_power_fits, estimate_dif_errors, estimate_inner_error
+from .dif_protocol import (build_dif_code, dif_power_fits, estimate_dif_errors,
+                           estimate_inner_error, inner_length)
 from .errors import ConfigError
 from .measures import DEFAULT_TAIL_MASS, MAX_MEAN
 from .results import result_row
@@ -37,43 +38,24 @@ OUT_DIR_ENV = "DIPC_OUT_DIR"
 CSV_COLUMNS = tuple(result_row(None, None, None, None))
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated effective configuration (defaults applied)."""
+def canonical_bytes(config: dict) -> bytes:
+    """Canonical form of the experiment definition.
 
-    data: dict
+    ``out_dir`` only routes the files, so it is excluded: the same
+    experiment written to two directories yields identical bytes.
+    """
+    data = {k: v for k, v in config.items() if k != "out_dir"}
+    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
-    @property
-    def kind(self) -> str:
-        return self.data["kind"]
 
-    @property
-    def master_seed(self) -> int:
-        return self.data["master_seed"]
+def config_digest(config: dict) -> str:
+    """SHA-256 of :func:`canonical_bytes`, the ``config_digest`` of every row."""
+    return hashlib.sha256(canonical_bytes(config)).hexdigest()
 
-    @property
-    def out_dir(self) -> str | None:
-        return self.data.get("out_dir")
 
-    @property
-    def channel(self) -> ChannelParams:
-        return serialize.channel_from_dict(self.data["channel"])
-
-    @property
-    def power(self) -> PowerConstraints:
-        return PowerConstraints(**self.data["power"])
-
-    def canonical_bytes(self) -> bytes:
-        """Canonical form of the experiment definition.
-
-        ``out_dir`` only routes the files, so it is excluded: the same
-        experiment written to two directories yields identical bytes.
-        """
-        data = {k: v for k, v in self.data.items() if k != "out_dir"}
-        return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+def _link(config: dict) -> tuple[ChannelParams, PowerConstraints]:
+    """The channel and power limits of a config."""
+    return serialize.channel_from_dict(config["channel"]), PowerConstraints(**config["power"])
 
 
 # Most cells one array of a run may hold: 1 GiB as float64.
@@ -90,7 +72,7 @@ _COMMON = {
 
 
 def _means_fit(d) -> bool:
-    params = ExperimentConfig(d).channel
+    params, _ = _link(d)
     return params.dark_rate + d["power"]["peak"] * params.slot_duration <= MAX_MEAN
 
 
@@ -100,11 +82,10 @@ def _converse_fits(d) -> bool:
     them otherwise."""
     if "n_grid" not in d or not 0 < d["lambda1"] + d["lambda2"] < 1:
         return True
-    config = ExperimentConfig(d)
+    params, power = _link(d)
     try:
         for n in d["n_grid"]:
-            bounds_mod.converse_log_count(n, d["kappa"], config.channel, config.power,
-                                          d["lambda1"], d["lambda2"])
+            bounds_mod.converse_log_count(n, d["kappa"], params, power, d["lambda1"], d["lambda2"])
     except ValueError:
         return False
     return True
@@ -172,15 +153,14 @@ SCHEMAS = {
         (lambda d: d["hash_range"] <= d["num_messages"],
          "hash_range: must not exceed num_messages={num_messages}, got {hash_range}"),
         # hash_range <= 2**ceil(sqrt(n)), the count of inner codewords, unbuilt
-        (lambda d: (d["hash_range"] - 1).bit_length() <= math.ceil(math.sqrt(d["n"])),
+        (lambda d: (d["hash_range"] - 1).bit_length() <= inner_length(d["n"]),
          "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
         (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
          "pairs: a message index lies outside [0, {num_messages})"),
-        (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"],
-                                  ExperimentConfig(d).power),
+        (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"], _link(d)[1]),
          "power: average too small for the pilot plus the heaviest inner codeword"),
         # the largest arrays: the phase-2 intensity table and the phase-1 pilot
-        (lambda d: d["hash_range"] * (math.ceil(math.sqrt(d["n"])) + d["channel"]["memory"])
+        (lambda d: d["hash_range"] * (inner_length(d["n"]) + d["channel"]["memory"])
          <= _MAX_CELLS and d["n"] <= _MAX_CELLS,
          f"n: hash_range * (ceil(sqrt(n)) + channel.memory) and n must be at most {_MAX_CELLS:,}"),
     ]),
@@ -188,7 +168,7 @@ SCHEMAS = {
 KINDS = tuple(SCHEMAS)
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
+def validate_config(raw: dict) -> dict:
     """Validate a raw config dict, apply defaults, and return the effective
     config.  Raises :class:`ConfigError` listing every violation found:
     first every malformed field, then, once all fields are well formed,
@@ -213,74 +193,61 @@ def validate_config(raw: dict) -> ExperimentConfig:
     violations = [message.format(**data) for test, message in (_MEANS, *rules) if not test(data)]
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(data)
+    return data
 
 
 @dataclass
 class RunOutput:
     """Everything a run writes: result rows, plot tables and the di-sim codebook."""
 
-    config: ExperimentConfig
+    config: dict
     rows: list[dict]
     tables: dict[str, list[dict]] = field(default_factory=dict)
     codebook: DICodebook | None = None
 
-    @property
-    def digest(self) -> str:
-        return self.config.digest()
 
-
-def _run_bounds(config: ExperimentConfig) -> RunOutput:
-    data = config.data
-    params = config.channel
-    power = config.power
-    report = bounds_mod.bound_report(data["kappa"], params, power.peak)
-    digest = config.digest()
-    rows = [result_row(digest, name, value, config.master_seed)
+def _run_bounds(config: dict) -> RunOutput:
+    params, power = _link(config)
+    report = bounds_mod.bound_report(config["kappa"], params, power.peak)
+    digest = config_digest(config)
+    rows = [result_row(digest, name, value, config["master_seed"])
             for name, value in asdict(report).items()]
     tables = {}
-    if "n_grid" in data:
+    if "n_grid" in config:
         tables["converse_trend"] = [
-            asdict(bounds_mod.converse_log_count(n, data["kappa"], params, power,
-                                                 data["lambda1"], data["lambda2"]))
-            for n in data["n_grid"]
+            asdict(bounds_mod.converse_log_count(n, config["kappa"], params, power,
+                                                 config["lambda1"], config["lambda2"]))
+            for n in config["n_grid"]
         ]
     return RunOutput(config=config, rows=rows, tables=tables)
 
 
-def _run_di_sim(config: ExperimentConfig) -> RunOutput:
-    data = config.data
+def _run_di_sim(config: dict) -> RunOutput:
+    seed = config["master_seed"]
     book = construct_codebook(
-        data["n"], config.channel, config.power, data["lambda1"], data["lambda2"],
-        data["max_codewords"], levels=data.get("levels"),
-        separation_scale=data["separation_scale"], seed=config.master_seed,
+        config["n"], *_link(config), config["lambda1"], config["lambda2"],
+        config["max_codewords"], levels=config.get("levels"),
+        separation_scale=config["separation_scale"], seed=seed,
     )
-    calibrate_threshold(
-        book, data["calibration_trials"], config.master_seed,
-        target=data["calibration_target"],
-    )
-    result = estimate_errors(book, data["trials"], config.master_seed)
-    return RunOutput(config=config, rows=result.rows(config.digest()), codebook=book)
+    calibrate_threshold(book, config["calibration_trials"], seed,
+                        target=config["calibration_target"])
+    result = estimate_errors(book, config["trials"], seed)
+    return RunOutput(config=config, rows=result.rows(config_digest(config)), codebook=book)
 
 
-def _run_dif_sim(config: ExperimentConfig) -> RunOutput:
-    data = config.data
+def _run_dif_sim(config: dict) -> RunOutput:
+    seed = config["master_seed"]
     code = build_dif_code(
-        data["n"],
-        config.channel,
-        config.power,
-        num_messages=data["num_messages"],
-        hash_range=data["hash_range"],
-        eps=data["eps"],
-        seed=config.master_seed,
-        tail_mass=data["tail_mass"],
+        config["n"], *_link(config), num_messages=config["num_messages"],
+        hash_range=config["hash_range"], eps=config["eps"], seed=seed,
+        tail_mass=config["tail_mass"],
     )
-    inner = estimate_inner_error(code, data["inner_error_trials"], config.master_seed)
-    pairs = [tuple(p) for p in data["pairs"]]
-    result = estimate_dif_errors(code, pairs, data["trials"], config.master_seed)
-    digest = config.digest()
+    inner = estimate_inner_error(code, config["inner_error_trials"], seed)
+    pairs = [tuple(p) for p in config["pairs"]]
+    result = estimate_dif_errors(code, pairs, config["trials"], seed)
+    digest = config_digest(config)
     rows = result.rows(digest)
-    rows.append(result_row(digest, "inner_error", inner.estimate, config.master_seed,
+    rows.append(result_row(digest, "inner_error", inner.estimate, seed,
                            trials=inner.trials, ci=(inner.ci_low, inner.ci_high)))
     return RunOutput(config=config, rows=rows)
 
@@ -292,9 +259,9 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> RunOutput:
+def run(config: dict) -> RunOutput:
     """Dispatch a validated config to its pipeline."""
-    return _RUNNERS[config.kind](config)
+    return _RUNNERS[config["kind"]](config)
 
 
 def emit_plot_data(rows: list[dict], path) -> None:
@@ -311,19 +278,29 @@ def emit_plot_data(rows: list[dict], path) -> None:
             writer.writerow([json.dumps(row.get(name)) for name in fieldnames])
 
 
+def _loads_line(text: str, number: int):
+    """:func:`serialize._loads`, its ValueError naming the file's line ``number``."""
+    try:
+        return _loads(text)
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+
+
 def read_plot_data(path) -> list[dict]:
-    """Parse a file written by :func:`emit_plot_data`.  Raises ValueError on
-    a cell that is not JSON."""
+    """Parse a file written by :func:`emit_plot_data`; an empty file holds no
+    rows.  Raises ValueError, naming the line, on a cell that is not JSON or
+    a row whose cell count differs from the header's."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        return [
-            {name: _loads(cell) for name, cell in zip(header, row)}
-            for row in reader
-        ]
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} cells,"
+                                 f" got {len(row)}")
+            rows.append({name: _loads_line(cell, reader.line_num)
+                         for name, cell in zip(header, row)})
+        return rows
 
 
 # The result row schema: every row holds exactly the CSV_COLUMNS keys, and
@@ -436,11 +413,8 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
     (out / "meta.json").unlink(missing_ok=True)
     written = {"config": str(out / "config.json"), "results": str(out / "results.jsonl"),
                "summary": str(out / "summary.csv")}
-    header = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "kind": output.config.kind,
-        "config_digest": output.digest,
-    }
+    header = {"schema_version": RESULT_SCHEMA_VERSION, "kind": output.config["kind"],
+              "config_digest": config_digest(output.config)}
     rows = output.rows
     # the rows first, so that a row the encoder rejects replaces no file
     with serialize.atomic_open(written["results"], newline="") as results, \
@@ -452,7 +426,7 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
             results.writelines(json_lines)
             summary.writelines(csv_lines)
     with serialize.atomic_open(written["config"], newline="") as fh:
-        fh.write(output.config.canonical_bytes().decode())
+        fh.write(canonical_bytes(output.config).decode())
 
     for name, table in output.tables.items():
         written[name] = str(out / f"{name}.csv")
@@ -485,14 +459,14 @@ def write_meta(out_dir, started: float, finished: float) -> str:
 
 
 def read_results(path) -> tuple[dict, list[dict]]:
-    """Load a results.jsonl file, rejecting unknown schema versions and
-    lines that are not JSON objects."""
+    """Load a results.jsonl file, rejecting unknown schema versions and,
+    naming the line, lines that are not JSON objects."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = _loads(line)
+            record = _loads_line(line, number)
             if not isinstance(record, dict):
                 raise ValueError(f"line {number}: expected a JSON object,"
                                  f" got {type(record).__name__}")

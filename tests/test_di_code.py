@@ -325,8 +325,16 @@ class TestDecoder:
     def test_index_out_of_range(self):
         book = small_book()
         y = np.zeros(book.block_length + FIG2.memory)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="is not an integer in"):
             decode_identify(y, book.num_codewords, book)
+
+    # these reached numpy: a broadcast ValueError and an indexing IndexError
+    @pytest.mark.parametrize("index", [True, 1.5])
+    def test_index_not_an_integer(self, index):
+        book = small_book()
+        y = np.zeros(book.block_length + FIG2.memory)
+        with pytest.raises(IndexError, match="is not an integer in"):
+            decode_identify(y, index, book)
 
     def test_wrong_length_rejected(self):
         book = small_book()

@@ -26,7 +26,7 @@ from dipc import (
     typical_test,
 )
 from dipc.dif_protocol import (TYPICALITY_GUARD_SIGMAS, TypicalSetSpec, dif_power_fits,
-                               letter_laws, _ml_decode, _ml_table)
+                               inner_length, letter_laws, _ml_decode, _ml_table)
 from dipc.measures import DEFAULT_TAIL_MASS, poisson_pmf_truncated
 from dipc.seeding import spawn
 
@@ -228,8 +228,13 @@ class TestHashFamily:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             HashFamily(master_seed=0, num_messages=4, hash_range=5)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="is not an integer in"):
             hash_message(100, self.blocks(), self.FAMILY)
+
+    def test_bool_index_rejected(self):
+        # True hashed as message 1
+        with pytest.raises(IndexError, match="is not an integer in"):
+            hash_message(True, self.blocks(), self.FAMILY)
 
 
 class TestInnerCode:
@@ -249,6 +254,15 @@ class TestInnerCode:
     def test_range_too_large(self):
         with pytest.raises(ValueError):
             build_inner_code(4, 5, peak=5.0, seed=0)  # length 2, max 4
+
+    def test_inner_length_is_ceil_sqrt(self):
+        assert all(inner_length(n) == math.ceil(math.sqrt(n)) for n in range(1, 2**20 + 1))
+
+    def test_inner_length_exact_past_float_precision(self):
+        k = 2**31
+        assert math.ceil(math.sqrt(k * k + 1)) == k  # the float form rounds down here
+        assert inner_length(k * k) == k
+        assert inner_length(k * k + 1) == k + 1
 
     def test_noiseless_round_trip(self):
         code = build_inner_code(64, 8, peak=10.0, seed=2)
@@ -338,7 +352,7 @@ class TestProtocolRoundTrip:
         y = np.zeros(code.output_length, dtype=int)  # silent record: atypical
         assert all(not dif_identify(i, y, code) for i in range(5))
 
-    @pytest.mark.parametrize("index", [10**6, 32, -1, 2.5])
+    @pytest.mark.parametrize("index", [10**6, 32, -1, 2.5, True])
     def test_index_checked_before_typicality(self, index):
         code = self.code()
         y = np.zeros(code.output_length, dtype=int)  # silent record: atypical

@@ -99,8 +99,8 @@ class TestWilson:
 class TestValidation:
     def test_valid_bounds_config(self):
         config = validate_config(bounds_config())
-        assert config.kind == "bounds"
-        assert config.master_seed == 0
+        assert config["kind"] == "bounds"
+        assert config["master_seed"] == 0
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -142,7 +142,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("scale", [1, 1.0, 2.5])
     def test_separation_scale_at_least_one_accepted(self, scale):
-        assert validate_config(di_config(separation_scale=scale)).data["separation_scale"] == scale
+        assert validate_config(di_config(separation_scale=scale))["separation_scale"] == scale
 
     def test_dif_pair_indices_checked(self):
         cfg = {
@@ -193,7 +193,7 @@ class TestDeterminism:
     def test_out_dir_does_not_affect_results(self, tmp_path):
         out1 = run(validate_config(di_config(out_dir="somewhere")))
         out2 = run(validate_config(di_config(out_dir="elsewhere")))
-        assert out1.digest == out2.digest
+        assert harness.config_digest(out1.config) == harness.config_digest(out2.config)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         write_outputs(out1, d1)
         write_outputs(out2, d2)
@@ -204,7 +204,7 @@ class TestDeterminism:
         out = run(cfg)
         files = write_outputs(out, tmp_path / "o")
         digest = hashlib.sha256(Path(files["config"]).read_bytes()).hexdigest()
-        assert digest == out.digest
+        assert digest == harness.config_digest(out.config)
         header, _ = read_results(files["results"])
         assert header["config_digest"] == digest
 
@@ -269,6 +269,19 @@ class TestPlotData:
         with pytest.raises(ValueError, match="JSON nested too deeply"):
             read_plot_data(path)
 
+    # ragged rows came back as dicts of the cells zip() kept; a bad cell
+    # named no line
+    @pytest.mark.parametrize("text, message", [
+        ("n,bits\n1,2,3\n4\n", "line 2: expected 2 cells, got 3"),
+        ("n,bits\n1,2\n4\n", "line 3: expected 2 cells, got 1"),
+        ("n,bits\n1,2\n3,{\n", "line 3: Expecting property name"),
+    ], ids=["too-long", "too-short", "not-json"])
+    def test_malformed_row_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "trend.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            read_plot_data(path)
+
 
 class TestResultFiles:
     def test_unknown_schema_rejected(self, tmp_path):
@@ -279,16 +292,18 @@ class TestResultFiles:
 
     HEADER = json.dumps({"config_digest": "d", "kind": "bounds", "schema_version": 1})
 
-    # documents whose non-object lines raised AttributeError or came back as rows
+    # documents whose non-object lines raised AttributeError or came back as
+    # rows, and one whose unparsable line was named by the parser's position
     @pytest.mark.parametrize("lines, message", [
         (["[1]"], "line 1: expected a JSON object, got list"),
         ([HEADER, "", '{"metric": "kappa"}', "[1, 2]"], "line 4: expected a JSON object, got list"),
         ([HEADER, '"row"'], "line 2: expected a JSON object, got str"),
+        ([HEADER, '{"metric": "kappa"}', "{"], "line 3: Expecting property name"),
     ])
     def test_non_object_line_rejected(self, tmp_path, lines, message):
         path = tmp_path / "results.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             read_results(path)
 
     def test_too_deep_line_raises_value_error(self, tmp_path):
@@ -351,7 +366,8 @@ class TestRowEncoder:
 
     def test_files_span_several_writes(self, tmp_path):
         config = validate_config(bounds_config())
-        rows = [result_row(config.digest(), "type2", k / 7, 3, 1000, k, k + 1, (0.0, k * 1e-3))
+        digest = harness.config_digest(config)
+        rows = [result_row(digest, "type2", k / 7, 3, 1000, k, k + 1, (0.0, k * 1e-3))
                 for k in range(2 * harness._ROWS_PER_WRITE + 1)]
         files = write_outputs(harness.RunOutput(config, rows), tmp_path)
         json_lines, csv_lines = reference_lines(rows)
@@ -768,7 +784,7 @@ class TestSchema:
         assert record["violations"]
         assert not out.exists()
 
-    # sha256 of canonical_bytes() with every default filled in.  A changed
+    # sha256 of canonical_bytes(config) with every default filled in.  A changed
     # default or a coerced value changes it, and with it every config_digest.
     PINNED = {
         "bounds": (bounds_config(),
@@ -784,16 +800,24 @@ class TestSchema:
     @pytest.mark.parametrize("kind", sorted(PINNED))
     def test_default_filled_digest_pinned(self, kind):
         raw, digest = self.PINNED[kind]
-        assert hashlib.sha256(validate_config(raw).canonical_bytes()).hexdigest() == digest
+        assert hashlib.sha256(harness.canonical_bytes(validate_config(raw))).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_config_is_plain_data(self, kind):
+        raw, _ = self.PINNED[kind]
+        config = validate_config({**raw, "out_dir": "somewhere"})
+        assert type(config) is dict
+        assert json.loads(harness.canonical_bytes(config)) == {
+            name: value for name, value in config.items() if name != "out_dir"}
 
     def test_values_are_not_coerced(self):
         raw = {"kind": "di-sim", "channel": dict(CHANNEL),
                "power": {"peak": 10, "average": 10}, "n": 12, "trials": 300}
-        data = validate_config(raw).data
+        data = validate_config(raw)
         assert data["power"] == {"peak": 10, "average": 10}
         assert type(data["power"]["peak"]) is int
         assert "slot_duration" not in validate_config(
-            bounds_config(channel={"memory": 0, "hit_probs": [1.0]})).data["channel"]
+            bounds_config(channel={"memory": 0, "hit_probs": [1.0]}))["channel"]
 
     @pytest.mark.parametrize("cfg", [
         dif_config(n=2),                     # no full pilot block
