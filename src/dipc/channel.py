@@ -72,7 +72,7 @@ def _as_codeword(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("codeword must be a nonempty 1-D sequence of release rates")
-    if (x < 0).any():
+    if not x.min() >= 0:  # also false for NaN
         raise ValueError("release rates must be nonnegative")
     return x
 
@@ -105,8 +105,10 @@ def effective_intensity(x, params: ChannelParams) -> np.ndarray:
     tail of the final releases plus dark current.
     """
     x = _as_codeword(x)
-    signal = np.convolve(x, params.hit_probs, mode="full") * params.slot_duration
-    return signal + params.dark_rate
+    mu = np.convolve(x, params.hit_probs, mode="full")
+    mu *= params.slot_duration
+    mu += params.dark_rate
+    return mu
 
 
 def log_likelihood(y, x, params: ChannelParams) -> float:

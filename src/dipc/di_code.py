@@ -205,14 +205,17 @@ def construct_codebook(
         # candidates drawn are exactly those of a one-at-a-time loop.
         size = max(1, min(max_codewords - k, STOP_REJECTIONS_PER_WORD * k - rejections,
                           _SCREEN_CELLS // (max(k, 1) * n)))
-        xs = []
+        # The batch is filled as one array.  Shuffling a row in place draws
+        # what ``permutation(base)`` draws, and the row totals are each row's
+        # own pairwise ``sum``, so every candidate is bit for bit a per-row one.
+        xs = np.tile(base, (size, 1))
+        for j, x in enumerate(xs):
+            spawn(seed, "codebook", candidate + j).shuffle(x)
+        totals = np.add.reduce(xs, axis=1)
+        over = totals > budget
+        xs[over] *= (budget / totals[over])[:, None]
         batch = np.empty((size, n))
-        for j in range(size):
-            x = spawn(seed, "codebook", candidate + j).permutation(base)
-            total = x.sum()
-            if total > budget:
-                x = x * (budget / total)
-            xs.append(x)
+        for j, x in enumerate(xs):
             batch[j] = reparameterize(x, params)
         candidate += size
         nearest = _nearest_sq_distances(pool[:k], batch) if k else np.full(size, np.inf)
@@ -226,7 +229,7 @@ def construct_codebook(
             if kk == pool.shape[0]:
                 pool = np.concatenate([pool, np.empty_like(pool)])
             pool[kk] = s
-            accepted.append(x)
+            accepted.append(x.copy())  # not a view that keeps the batch alive
             rejections = 0
         if rejections >= STOP_REJECTIONS_PER_WORD * len(accepted):
             break

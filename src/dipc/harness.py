@@ -278,10 +278,15 @@ def emit_plot_data(rows: list[dict], path) -> None:
             writer.writerow([json.dumps(row.get(name)) for name in fieldnames])
 
 
-def _loads_line(text: str, number: int):
-    """:func:`serialize._loads`, its ValueError naming the file's line ``number``."""
+def _loads_line(text: str, number: int, cell: str | None = None):
+    """:func:`serialize._loads`, its ValueError naming the file's line ``number``
+    and, for a parse error, the column of ``text`` (the CSV ``cell``'s text
+    when given) where parsing failed."""
     try:
         return _loads(text)
+    except json.JSONDecodeError as exc:
+        where = "" if cell is None else f"cell {cell!r}, "
+        raise ValueError(f"line {number}: {exc.msg} ({where}column {exc.colno})") from None
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
 
@@ -298,7 +303,7 @@ def read_plot_data(path) -> list[dict]:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: expected {len(header)} cells,"
                                  f" got {len(row)}")
-            rows.append({name: _loads_line(cell, reader.line_num)
+            rows.append({name: _loads_line(cell, reader.line_num, name)
                          for name, cell in zip(header, row)})
         return rows
 
@@ -466,7 +471,7 @@ def read_results(path) -> tuple[dict, list[dict]]:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = _loads_line(line, number)
+            record = _loads_line(line.rstrip("\n"), number)
             if not isinstance(record, dict):
                 raise ValueError(f"line {number}: expected a JSON object,"
                                  f" got {type(record).__name__}")

@@ -20,7 +20,11 @@ def _int_bytes(value) -> bytes:
     # another integer's stream.
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"stream seeds and indices must be integers, got {value!r}")
-    return int(value).to_bytes(16, "little", signed=True)
+    try:
+        return int(value).to_bytes(16, "little", signed=True)
+    except OverflowError:
+        raise ValueError(f"stream seed or index {value!r} is outside the signed"
+                         " 128-bit range") from None
 
 
 def _entropy_words(digest: bytes) -> np.ndarray:
@@ -35,13 +39,19 @@ def spawn(master_seed: int, *path: int | str) -> np.random.Generator:
 
     The seed is an integer; path elements may be integers or short strings
     (e.g. a phase label and a trial index).  Floats and bools raise
-    ``TypeError``.  The same path always yields the same stream.
+    ``TypeError``; an integer outside the signed 128-bit range or a string
+    holding a NUL character raises ``ValueError``.  The same path always
+    yields the same stream.
     """
-    h = hashlib.blake2b(digest_size=32)
-    h.update(_int_bytes(master_seed))
+    data = [_int_bytes(master_seed)]
     for part in path:
         if isinstance(part, str):
-            h.update(b"s" + part.encode("utf-8") + b"\x00")
+            # The zero byte ends the part: a part holding one would alias
+            # the path split there.
+            if "\x00" in part:
+                raise ValueError(f"stream label {part!r} contains a NUL character")
+            data.append(b"s" + part.encode("utf-8") + b"\x00")
         else:
-            h.update(b"i" + _int_bytes(part))
-    return np.random.default_rng(np.random.SeedSequence(_entropy_words(h.digest())))
+            data.append(b"i" + _int_bytes(part))
+    words = _entropy_words(hashlib.blake2b(b"".join(data), digest_size=32).digest())
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))

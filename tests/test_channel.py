@@ -71,6 +71,24 @@ class TestEffectiveIntensity:
         with pytest.raises(ValueError):
             effective_intensity([1.0, -1.0], FIG2)
 
+    # NaN passed the sign test: the intensity came back [nan nan nan 0.2]
+    @pytest.mark.parametrize("x", [[math.nan, 1.0], [1.0, -0.5], [0.0, 2.0, math.nan]],
+                             ids=["nan-first", "negative", "nan-last"])
+    def test_nan_or_negative_rate_rejected_by_every_reader(self, x):
+        for call in (lambda: effective_intensity(x, FIG2),
+                     lambda: log_likelihood(np.zeros(len(x) + 2), x, FIG2),
+                     lambda: sample_output(x, FIG2, seed=0),
+                     lambda: validate_power(x, PowerConstraints(peak=2.0, average=2.0))):
+            with pytest.raises(ValueError, match="^release rates must be nonnegative$"):
+                call()
+
+    def test_in_place_scaling_keeps_the_bytes(self):
+        x = np.array([0.0, 10.0, 3.7, 1e-300, 5.0])
+        params = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=0.7,
+                               dark_rate=0.1)
+        expected = np.convolve(x, params.hit_probs, mode="full") * 0.7 + 0.1
+        assert effective_intensity(x, params).tobytes() == expected.tobytes()
+
 
 def scipy_log_likelihood(y, x, params):
     """log_likelihood with ln y! from scipy.special.gammaln."""

@@ -206,6 +206,18 @@ class TestConverseCheck:
             assert 38.5 < bits < 39.5  # log2(35) = 5.1 bits against about 39
 
 
+def reference_candidate(n, constraints, levels, seed, k):
+    """Candidate ``k`` drawn on its own: a permutation of the balanced level
+    multiset, rescaled onto the average-power budget when its sum exceeds it."""
+    levels = np.sort(np.asarray(levels, dtype=float))
+    counts = np.full(levels.size, n // levels.size)
+    counts[: n % levels.size] += 1
+    x = spawn(seed, "codebook", k).permutation(np.repeat(levels, counts))
+    budget = n * constraints.average
+    total = x.sum()
+    return x * (budget / total) if total > budget else x
+
+
 def reference_codewords(n, params, constraints, seed, max_codewords, levels=None,
                         separation_scale=1.0):
     """Codewords and candidate count of the per-row packing loop (one norm per
@@ -215,21 +227,12 @@ def reference_codewords(n, params, constraints, seed, max_codewords, levels=None
     needed = 2.0 * radius * separation_scale
     if levels is None:
         levels = (0.0, constraints.peak / 2.0, constraints.peak)
-    levels = np.sort(np.asarray(levels, dtype=float))
-    counts = np.full(levels.size, n // levels.size)
-    counts[: n % levels.size] += 1
-    base = np.repeat(levels, counts)
-    budget = n * constraints.average
     accepted, sqrt_accepted = [], []
     rejections = 0
     candidate = 0
     while len(accepted) < max_codewords:
-        rng = spawn(seed, "codebook", candidate)
+        x = reference_candidate(n, constraints, levels, seed, candidate)
         candidate += 1
-        x = rng.permutation(base)
-        total = x.sum()
-        if total > budget:
-            x = x * (budget / total)
         s = reparameterize(x, params)
         if sqrt_accepted:
             dmin = min(float(np.linalg.norm(s - t)) for t in sqrt_accepted)
@@ -287,6 +290,55 @@ class TestPackingEquivalence:
         assert drawn == list(range(candidates))
         assert book.num_codewords == expected.shape[0]
         assert np.array_equal(book.codewords, expected)
+
+    # di-pack's config in bench/workloads.py: all 35 balanced patterns of
+    # 7 on/off slots, then the 200 * 35 rejection streak
+    DI_PACK = (7, POWER, dict(levels=(0.0, 10.0), max_codewords=100000))
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_di_pack_config(self, seed, monkeypatch):
+        monkeypatch.setitem(self.CASES, "di-pack", self.DI_PACK)
+        book, drawn = self.build("di-pack", seed, monkeypatch)
+        expected, candidates = reference_codewords(7, FIG2, POWER, seed, **self.DI_PACK[2])
+        assert book.num_codewords == 35
+        assert drawn == list(range(candidates))
+        assert np.array_equal(book.codewords, expected)
+
+    # Permutations of the level multiset sum to these totals by order, and the
+    # budget n * average is the lowest.  At n = 9 numpy's pairwise sum and a
+    # left-to-right sum disagree on some rows.
+    @pytest.mark.parametrize("n, average, totals", [
+        (5, 0.18, {0.8999999999999999, 0.9, 0.9000000000000001}),
+        (9, 0.2, {1.8, 1.8000000000000003}),
+    ], ids=["n5", "n9-pairwise"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rescale_straddling_the_budget(self, seed, n, average, totals, monkeypatch):
+        """One batch holds rescaled and unrescaled candidates, and each is bit
+        for bit the candidate drawn and rescaled on its own."""
+        levels, constraints = (0.1, 0.2, 0.3), PowerConstraints(peak=0.3, average=average)
+        seen = []
+        original = di_code.reparameterize
+
+        def recording(x, params):
+            seen.append((x.base, x.copy()))
+            return original(x, params)
+
+        monkeypatch.setattr(di_code, "reparameterize", recording)
+        book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, 1000, levels=levels,
+                                  seed=seed)
+        budget = n * average
+        unbounded = PowerConstraints(peak=0.3, average=1.0)  # never rescales
+        raw = [reference_candidate(n, unbounded, levels, seed, k) for k in range(len(seen))]
+        assert {float(x.sum()) for x in raw} == totals and min(totals) == budget
+        for k, (_, x) in enumerate(seen):
+            assert np.array_equal(x, reference_candidate(n, constraints, levels, seed, k))
+        rescaled = [not np.array_equal(x, r) for (_, x), r in zip(seen, raw)]
+        assert any(
+            {rescaled[k] for k in range(len(seen)) if seen[k][0] is base} == {True, False}
+            for base, _ in seen
+        )
+        assert np.array_equal(book.codewords, reference_codewords(
+            n, FIG2, constraints, seed, 1000, levels)[0])
 
     def test_cases_cover_pool_growth(self, monkeypatch):
         book, _ = self.build("pool-growth-balanced", 0, monkeypatch)

@@ -275,12 +275,17 @@ class TestPlotData:
         ("n,bits\n1,2,3\n4\n", "line 2: expected 2 cells, got 3"),
         ("n,bits\n1,2\n4\n", "line 3: expected 2 cells, got 1"),
         ("n,bits\n1,2\n3,{\n", "line 3: Expecting property name"),
-    ], ids=["too-long", "too-short", "not-json"])
+        # the parser's own "line 1 column 2 (char 1)" followed the file's line
+        ("n,bits\n1,2\n3,{\n", "line 3: Expecting property name enclosed in double quotes"
+                               " (cell 'bits', column 2)"),
+        ("n,bits\n1,2\n[1 2],3\n", "line 3: Expecting ',' delimiter (cell 'n', column 4)"),
+    ], ids=["too-long", "too-short", "not-json", "not-json-whole", "column-in-cell"])
     def test_malformed_row_names_its_line(self, tmp_path, text, message):
         path = tmp_path / "trend.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message)) as info:
             read_plot_data(path)
+        assert str(info.value).count("line") == 1
 
 
 class TestResultFiles:
@@ -299,12 +304,16 @@ class TestResultFiles:
         ([HEADER, "", '{"metric": "kappa"}', "[1, 2]"], "line 4: expected a JSON object, got list"),
         ([HEADER, '"row"'], "line 2: expected a JSON object, got str"),
         ([HEADER, '{"metric": "kappa"}', "{"], "line 3: Expecting property name"),
+        # the column within the line, parsed without its newline
+        ([HEADER, "{"], "line 2: Expecting property name enclosed in double quotes (column 2)"),
+        ([HEADER, '{"a": 1} x'], "line 2: Extra data (column 10)"),
     ])
     def test_non_object_line_rejected(self, tmp_path, lines, message):
         path = tmp_path / "results.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message)) as info:
             read_results(path)
+        assert str(info.value).count("line") == 1
 
     def test_too_deep_line_raises_value_error(self, tmp_path):
         path = tmp_path / "results.jsonl"

@@ -65,3 +65,28 @@ def test_numpy_integers_accepted():
     for seed, part in [(np.int64(7), np.int32(3)), (np.uint8(7), np.uint64(3))]:
         assert np.array_equal(spawn(seed, "x", part).random(4), expected)
 
+
+
+# The zero byte ends a string part, so a part holding one aliased the path
+# split there: spawn(7, "a", "b") and spawn(7, "a\x00sb") were one stream.
+@pytest.mark.parametrize("path", [(7, "a\x00sb"), (7, "\x00"), (7, "x", 1, "p\x00")],
+                         ids=["aliasing-split", "only-nul", "last-part"])
+def test_nul_in_a_string_part_rejected(path):
+    with pytest.raises(ValueError, match="contains a NUL character"):
+        spawn(*path)
+
+
+# An integer beyond 16 signed bytes ended in a bare "int too big to convert".
+@pytest.mark.parametrize("path", [(2**127, "x"), (-(2**127) - 1, "x"), (7, "x", 2**127),
+                                  (7, np.uint64(3), -(2**200))],
+                         ids=["seed-high", "seed-low", "part-high", "part-low"])
+def test_integer_beyond_128_bits_rejected(path):
+    bad = next(p for p in path if isinstance(p, int) and not -(2**127) <= p < 2**127)
+    with pytest.raises(ValueError, match=f"^stream seed or index {bad} is outside the signed"
+                                         " 128-bit range$"):
+        spawn(*path)
+
+
+@pytest.mark.parametrize("value", [2**127 - 1, -(2**127)])
+def test_128_bit_extremes_accepted(value):
+    assert spawn(value, "x", value).random() != spawn(value, "x", 0).random()
