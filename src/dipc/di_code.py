@@ -218,19 +218,25 @@ def construct_codebook(
         for j, x in enumerate(xs):
             batch[j] = reparameterize(x, params)
         candidate += size
-        nearest = _nearest_sq_distances(pool[:k], batch) if k else np.full(size, np.inf)
-        for x, s, d2 in zip(xs, batch, nearest):
+        # Candidates too near an earlier codeword are rejections, counted in
+        # bulk; only the rest are walked.  sqrt is monotone, so testing the
+        # nearest distance to each group of codewords apart decides as
+        # testing the nearest of both.
+        clear = np.ones(size, dtype=bool)
+        if k:
+            clear = np.sqrt(_nearest_sq_distances(pool[:k], batch)) >= needed
+        after = 0  # first candidate after this batch's last acceptance
+        for j in np.flatnonzero(clear).tolist():
             kk = len(accepted)
-            if kk > k:  # also screen against codewords accepted in this batch
-                d2 = min(d2, _nearest_sq_distances(pool[k:kk], s[None])[0])
-            if math.sqrt(d2) < needed:
-                rejections += 1
+            # also screen against codewords accepted in this batch
+            if kk > k and math.sqrt(_nearest_sq_distances(pool[k:kk], batch[None, j])[0]) < needed:
                 continue
             if kk == pool.shape[0]:
                 pool = np.concatenate([pool, np.empty_like(pool)])
-            pool[kk] = s
-            accepted.append(x.copy())  # not a view that keeps the batch alive
-            rejections = 0
+            pool[kk] = batch[j]
+            accepted.append(xs[j].copy())  # not a view that keeps the batch alive
+            rejections, after = 0, j + 1
+        rejections += size - after
         if rejections >= STOP_REJECTIONS_PER_WORD * len(accepted):
             break
 
@@ -284,8 +290,8 @@ def calibrate_threshold(
     """
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
-    if not 0 <= target:
-        raise ValueError("target error rate must be nonnegative")
+    if not 0 <= target < math.inf:
+        raise ValueError("target error rate must be finite and nonnegative")
 
     n = book.block_length
     intensities = book.intensities  # computed here, not once per thread

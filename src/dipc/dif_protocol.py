@@ -71,7 +71,7 @@ class TypicalSetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "letter_laws", np.asarray(self.letter_laws, dtype=float))
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN would pass every string; +inf filters nothing
             raise ValueError("typicality slack must be positive")
 
     @cached_property

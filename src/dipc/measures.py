@@ -69,7 +69,7 @@ def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Fi
     ``tail_mass``, and P(Y > y) is their sum from the far end, so tails down
     to ~1e-300 are supported with numpy alone.
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("Poisson mean must be nonnegative")
     if mu > MAX_MEAN:
         raise ValueError(f"Poisson mean {float(mu)} exceeds MAX_MEAN={MAX_MEAN:g}")
@@ -175,8 +175,6 @@ def min_distance_radius(type1_budget: float, type2_budget: float) -> float:
 
 def poisson_entropy_exact(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
     """Entropy of Poisson(mu) in bits by summation over the truncated support."""
-    if mu < 0:
-        raise ValueError("Poisson mean must be nonnegative")
     if mu == 0:
         return 0.0
     dist = poisson_pmf_truncated(mu, tail_mass)
@@ -186,6 +184,6 @@ def poisson_entropy_exact(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> fl
 
 def poisson_entropy_approx(mu: float) -> float:
     """Large-mean entropy expansion in bits: 0.5*log2(2*pi*e*mu) - 1/(12*mu*ln2)."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("approximation requires a positive mean")
     return 0.5 * math.log2(2 * math.pi * math.e * mu) - 1.0 / (12.0 * mu * LN2)

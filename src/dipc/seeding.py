@@ -10,6 +10,7 @@ byte-identically under any trial scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -34,6 +35,21 @@ def _entropy_words(digest: bytes) -> np.ndarray:
     return np.frombuffer(digest, "<u4", count=max(1, (len(digest.rstrip(b"\x00")) + 3) // 4))
 
 
+@functools.cache
+def _seed_type() -> type:
+    # Loads numpy.random on the first stream, not at ``import dipc``.
+    from ._pcg64_seed import PCG64Seed
+    return PCG64Seed
+
+
+def _stream(digest: bytes) -> np.random.Generator:
+    """``default_rng(SeedSequence(e))`` for the digest read as a little-endian
+    integer ``e``.  SeedSequence only mixes the pool; the PCG64 seed words
+    come from :mod:`._pcg64_seed`."""
+    pool = np.random.SeedSequence(_entropy_words(digest)).pool
+    return np.random.Generator(np.random.PCG64(_seed_type()(pool)))
+
+
 def spawn(master_seed: int, *path: int | str) -> np.random.Generator:
     """Derive an independent generator for (master_seed, *path).
 
@@ -53,5 +69,4 @@ def spawn(master_seed: int, *path: int | str) -> np.random.Generator:
             data.append(b"s" + part.encode("utf-8") + b"\x00")
         else:
             data.append(b"i" + _int_bytes(part))
-    words = _entropy_words(hashlib.blake2b(b"".join(data), digest_size=32).digest())
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    return _stream(hashlib.blake2b(b"".join(data), digest_size=32).digest())

@@ -304,6 +304,22 @@ class TestPackingEquivalence:
         assert drawn == list(range(candidates))
         assert np.array_equal(book.codewords, expected)
 
+    # The default three levels at n = 12, spaced so that 5 to 9 codewords fit:
+    # with room for 7, some seeds fill the book and the others stop on the
+    # rejection streak, and the walk skips most candidates of every batch.
+    SWEEP = (12, POWER, dict(max_codewords=7, separation_scale=3.5))
+
+    def test_seed_sweep_fills_or_stops_like_the_per_row_loop(self, monkeypatch):
+        monkeypatch.setitem(self.CASES, "sweep", self.SWEEP)
+        filled = []
+        for seed in range(20):
+            book, drawn = self.build("sweep", seed, monkeypatch)
+            expected, candidates = reference_codewords(12, FIG2, POWER, seed, **self.SWEEP[2])
+            assert drawn == list(range(candidates))
+            assert np.array_equal(book.codewords, expected)
+            filled.append(book.num_codewords == 7)
+        assert 0 < sum(filled) < 20
+
     # Permutations of the level multiset sum to these totals by order, and the
     # budget n * average is the lowest.  At n = 9 numpy's pairwise sum and a
     # left-to-right sum disagree on some rows.
@@ -425,6 +441,14 @@ class TestCalibration:
     def test_needs_enough_trials(self):
         with pytest.raises(ValueError):
             calibrate_threshold(small_book(), 10, seed=0, target=0.1)
+
+    # An infinite target ended in a bare OverflowError from int(inf).
+    @pytest.mark.parametrize("target", [math.inf, math.nan, -0.1, -math.inf])
+    def test_target_must_be_finite_and_nonnegative(self, target):
+        book = small_book()
+        with pytest.raises(ValueError, match="target error rate must be finite and nonnegative"):
+            calibrate_threshold(book, 1000, seed=0, target=target)
+        assert book.threshold == math.inf
 
     def test_vacuous_budget_returns_smallest_observed(self):
         book = small_book()

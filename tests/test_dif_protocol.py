@@ -153,6 +153,14 @@ class TestTypicality:
         spec = self.spec(eps=math.inf)
         assert typical_test(np.full((10, 3), 1000), spec)
 
+    # A NaN slack made every string typical whatever its counts.
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -0.1, -math.inf])
+    def test_slack_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="typicality slack must be positive"):
+            TypicalSetSpec(eps=eps, letter_laws=[6.1, 3.1, 1.1], tail_mass=1e-12)
+        with pytest.raises(ValueError, match="typicality slack must be positive"):
+            build_dif_code(90, FIG2, full(5.0), num_messages=8, hash_range=4, eps=eps)
+
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             typical_test(np.zeros((5, 2), dtype=int), self.spec())

@@ -6,7 +6,8 @@ The Poisson laws, their entropies and ln k! are computed with numpy and
 ``math`` alone, so a scipy import anywhere in the package fails here.  The
 DI senders' threads are started with ``threading`` inside
 ``results.sender_map``, so ``concurrent.futures`` stays out of the import
-and of set-up time.
+and of set-up time.  So does ``numpy.random``: ``seeding`` loads it with its
+first stream, as numpy itself would.
 """
 
 import json
@@ -24,6 +25,7 @@ SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import dipc, dipc.cli, dipc.harness
+random_at_import = sorted(m for m in sys.modules if m.startswith("numpy.random"))
 def show(prefix):
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == prefix)))
 show("concurrent")
@@ -33,6 +35,7 @@ for config in sys.argv[2:]:
 params = dipc.ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], dark_rate=0.1)
 dipc.log_likelihood([0, 3, 20, 5000], [2.0, 4000.0], params)
 show("scipy")
+print(json.dumps(random_at_import))
 """
 
 CHANNEL = {"memory": 2, "hit_probs": [0.6, 0.3, 0.1], "dark_rate": 0.1}
@@ -67,7 +70,8 @@ BOUNDS = {
 @pytest.fixture(scope="module")
 def loaded():
     """[concurrent modules after the import, scipy modules after the di-sim,
-    dif-sim and bounds runs and after log_likelihood]."""
+    dif-sim and bounds runs and after log_likelihood, numpy.random modules
+    after the import]."""
     configs = [json.dumps(cfg) for cfg in (DI_SIM, DIF_SIM, BOUNDS)]
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), *configs],
                           capture_output=True, text=True, timeout=120)
@@ -86,3 +90,8 @@ def test_poisson_laws_load_no_scipy(loaded, step):
 
 def test_import_loads_no_concurrent_futures(loaded):
     assert loaded[0] == []
+
+
+def test_import_loads_no_numpy_random(loaded):
+    # numpy loads numpy.random on first use; the first stream pays for it.
+    assert loaded[5] == []

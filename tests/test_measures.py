@@ -72,6 +72,19 @@ class TestTruncatedPmf:
             assert d.tail_bound == tail_bound, mu
 
 
+    # NaN ended in "cannot convert float NaN to integer".
+    @pytest.mark.parametrize("mu", [math.nan, -1.0, -math.inf])
+    def test_mean_must_be_nonnegative(self, mu):
+        with pytest.raises(ValueError, match="^Poisson mean must be nonnegative$"):
+            poisson_pmf_truncated(mu)
+        with pytest.raises(ValueError, match="^Poisson mean must be nonnegative$"):
+            poisson_entropy_exact(mu)
+
+    @pytest.mark.parametrize("mu", [math.nan, 0.0, -1.0])
+    def test_approximation_needs_a_positive_mean(self, mu):
+        with pytest.raises(ValueError, match="requires a positive mean"):
+            poisson_entropy_approx(mu)
+
     def test_zero_mean_is_point_mass(self):
         d = poisson_pmf_truncated(0.0)
         assert d.support.tolist() == [0]

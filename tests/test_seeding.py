@@ -3,13 +3,22 @@
 A stream is ``default_rng(SeedSequence(e))`` where ``e`` is the BLAKE2b
 digest of the (seed, path) encoding read as a little-endian integer.  The
 golden draws below were taken from that integer form; the words helper must
-hand SeedSequence exactly the words it derives from that integer.
+hand SeedSequence exactly the words it derives from that integer, and the
+PCG64 seed words ``spawn`` computes from the SeedSequence pool must be the
+ones ``generate_state`` would return.
 """
+
+import copy
+import hashlib
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
-from dipc.seeding import _entropy_words, spawn
+from dipc import seeding
+from dipc._pcg64_seed import PCG64Seed
+from dipc.seeding import _entropy_words, _stream, spawn
 
 # First three raw 64-bit outputs of each stream.
 GOLDEN = [
@@ -90,3 +99,111 @@ def test_integer_beyond_128_bits_rejected(path):
 @pytest.mark.parametrize("value", [2**127 - 1, -(2**127)])
 def test_128_bit_extremes_accepted(value):
     assert spawn(value, "x", value).random() != spawn(value, "x", 0).random()
+
+
+def _path_digest(seed, *path):
+    """The README's path encoding, hashed."""
+    data = seed.to_bytes(16, "little", signed=True)
+    for part in path:
+        data += (b"s" + part.encode() + b"\x00" if isinstance(part, str)
+                 else b"i" + part.to_bytes(16, "little", signed=True))
+    return hashlib.blake2b(data, digest_size=32).digest()
+
+
+def _reference(digest):
+    return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest, "little")))
+
+
+def _same_stream(got, expected):
+    assert got.bit_generator.state == expected.bit_generator.state
+    assert got.bit_generator.random_raw(4).tolist() == expected.bit_generator.random_raw(4).tolist()
+
+
+# The path shapes the package draws from, 2,120 paths in all.
+PATHS = ([(seed, "codebook", k) for seed in (0, 7, -3) for k in range(400)]
+         + [(11, "dif", sender, t, phase) for sender in range(2) for t in range(200)
+            for phase in ("p1", "p2")]
+         + [(7, "inner-error", t) for t in range(300)]
+         + [(seed, "calibrate", i) for seed in (7, 2**100) for i in range(10)])
+
+
+def test_package_paths_match_seed_sequence():
+    assert len(PATHS) >= 2000
+    for path in PATHS:
+        _same_stream(spawn(*path), _reference(_path_digest(*path)))
+
+
+# A digest whose high words are zero has fewer entropy words and mixes
+# differently; every word count from 1 to 8 must still give numpy's stream.
+@pytest.mark.parametrize("words", range(1, 9))
+def test_every_entropy_word_count_matches_seed_sequence(words):
+    rng = np.random.default_rng(100 + words)
+    for _ in range(50):
+        value = rng.integers(1, 2**32, size=words, dtype=np.uint32)
+        digest = value.astype("<u4").tobytes() + bytes(4 * (8 - words))
+        assert _entropy_words(digest).size == words
+        _same_stream(_stream(digest), _reference(digest))
+
+
+def test_seed_words_match_generate_state():
+    rng = np.random.default_rng(2024)
+    for _ in range(10_000):
+        seq = np.random.SeedSequence(rng.integers(0, 2**32, size=rng.integers(1, 9),
+                                                  dtype=np.uint32))
+        expected = seq.generate_state(4, np.uint64)
+        got = PCG64Seed(seq.pool).generate_state(4, np.uint64)
+        assert got.dtype == np.uint64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64),
+                                            (4, np.int64), (8, np.uint32), (0, np.uint64)])
+def test_private_sequence_answers_only_the_pcg64_request(n_words, dtype):
+    seq = PCG64Seed(np.random.SeedSequence(5).pool)
+    with pytest.raises(ValueError, match=r"only PCG64's seed request \(4, uint64\)"):
+        seq.generate_state(n_words, dtype)
+
+
+def test_generator_spawn_raises():
+    # The bit generator's seed_seq is the private sequence, not a SeedSequence.
+    rng = spawn(7, "x")
+    assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_generator_keeps_its_stream(clone):
+    rng = spawn(*GOLDEN[1][0])
+    rng.random(3)
+    assert clone(rng).bit_generator.random_raw(5).tolist() == rng.bit_generator.random_raw(5).tolist()
+
+
+def test_threads_spawning_the_same_paths_agree():
+    paths = PATHS[:600]
+    barrier = threading.Barrier(2)
+    states = [None, None]
+
+    def run(k):
+        barrier.wait()
+        states[k] = [spawn(*path).bit_generator.state for path in paths]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert states[0] == states[1] == [_reference(_path_digest(*p)).bit_generator.state
+                                      for p in paths]
+
+
+def test_spawn_never_calls_generate_state(monkeypatch):
+    class NoGenerateState(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            raise AssertionError("SeedSequence.generate_state was called")
+
+    expected = spawn(*GOLDEN[0][0]).bit_generator.state
+    monkeypatch.setattr(np.random, "SeedSequence", NoGenerateState)
+    with pytest.raises(AssertionError):  # the guard bites on numpy's own path
+        np.random.PCG64(np.random.SeedSequence(1))
+    assert seeding.spawn(*GOLDEN[0][0]).bit_generator.state == expected
