@@ -40,7 +40,6 @@ from .di_code import (
     memory_scaling,
     packing_log_count_bound,
     power_ball_radius,
-    reparameterize,
     validate_codebook,
 )
 from .dif_protocol import (

@@ -15,6 +15,7 @@ input slots produces n + K output slots (the tail flushes the memory).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,13 @@ class ChannelParams:
             raise ValueError(
                 f"hit_probs must have memory+1={self.memory + 1} entries, got {probs.size}"
             )
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not np.all((probs >= 0) & (probs <= 1)):  # also false for NaN
             raise ValueError("hit probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"hit probabilities must sum to 1, got {float(probs.sum())}")
-        if self.slot_duration <= 0:
+        if not 0 < self.slot_duration < math.inf:
             raise ValueError("slot_duration must be positive")
-        if self.dark_rate < 0:
+        if not 0 <= self.dark_rate < math.inf:
             raise ValueError("dark_rate must be nonnegative")
 
 
@@ -64,7 +65,7 @@ class PowerConstraints:
     average: float
 
     def __post_init__(self):
-        if self.peak <= 0 or self.average <= 0:
+        if not (0 < self.peak < math.inf and 0 < self.average < math.inf):
             raise ValueError("peak and average limits must be positive")
 
 

@@ -50,12 +50,6 @@ def memory_scaling(n: int, kappa: float) -> int:
     return int(math.floor(value))
 
 
-def reparameterize(x, params: ChannelParams) -> np.ndarray:
-    """Square-root intensity coordinates of a codeword (first n slots)."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(effective_intensity(x, params)[: x.size])
-
-
 def power_ball_radius(
     n: int,
     params: ChannelParams,
@@ -79,7 +73,7 @@ def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -
     """Sphere-packing ceiling on the codebook size, in bits: n * log2(2l/r)."""
     if not packing_radius > 0:
         raise ValueError("packing radius must be positive")
-    if packing_radius > ball_radius:
+    if not packing_radius <= ball_radius:  # also true for NaN
         raise ValueError(f"packing radius {packing_radius} exceeds ball radius {ball_radius}")
     return n * math.log2(2.0 * ball_radius / packing_radius)
 
@@ -216,7 +210,8 @@ def construct_codebook(
         xs[over] *= (budget / totals[over])[:, None]
         batch = np.empty((size, n))
         for j, x in enumerate(xs):
-            batch[j] = reparameterize(x, params)
+            batch[j] = effective_intensity(x, params)[:n]
+        np.sqrt(batch, out=batch)  # the sqrt-domain candidates
         candidate += size
         # Candidates too near an earlier codeword are rejections, counted in
         # bulk; only the rest are walked.  sqrt is monotone, so testing the

@@ -35,7 +35,7 @@ from .channel import ChannelParams, PowerConstraints, as_counts, check_index, ef
 from .errors import ConstructionError
 from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
-from .seeding import spawn
+from .seeding import _int_bytes, spawn
 
 # Finite-sample slack (in binomial sigmas) added to the typicality tolerance;
 # vanishes as the block count grows, leaving the pure letter-typicality test.
@@ -137,12 +137,12 @@ class HashFamily:
     def __post_init__(self):
         if not 1 <= self.hash_range <= self.num_messages:
             raise ValueError("need 1 <= hash_range <= num_messages")
+        _int_bytes(self.master_seed)  # rejects the seeds spawn rejects
 
     @cached_property
     def _keyed(self):
         """BLAKE2b keyed with the master seed, copied for every hash."""
-        return hashlib.blake2b(digest_size=16,
-                               key=int(self.master_seed).to_bytes(16, "little", signed=True))
+        return hashlib.blake2b(digest_size=16, key=_int_bytes(self.master_seed))
 
 
 def hash_message(index: int, blocks, family: HashFamily) -> int:

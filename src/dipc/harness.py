@@ -55,7 +55,7 @@ def config_digest(config: dict) -> str:
 
 def _link(config: dict) -> tuple[ChannelParams, PowerConstraints]:
     """The channel and power limits of a config."""
-    return serialize.channel_from_dict(config["channel"]), PowerConstraints(**config["power"])
+    return ChannelParams(**config["channel"]), PowerConstraints(**config["power"])
 
 
 # Most cells one array of a run may hold: 1 GiB as float64.

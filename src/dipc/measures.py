@@ -162,7 +162,7 @@ def min_distance_radius(type1_budget: float, type2_budget: float) -> float:
     the square-root intensity domain means centers at distance 2r with
     (2r)^2 = -ln(1 - delta^2).
     """
-    if type1_budget < 0 or type2_budget < 0:
+    if not (type1_budget >= 0 and type2_budget >= 0):  # also true for NaN
         raise ValueError("error budgets must be nonnegative")
     total = type1_budget + type2_budget
     if total >= 1:

@@ -14,6 +14,7 @@ import math
 import os
 import reprlib
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,26 +97,6 @@ def _problems(table: dict, value: dict) -> list[str]:
     return problems
 
 
-def channel_to_dict(params: ChannelParams) -> dict:
-    return {
-        "memory": params.memory,
-        "hit_probs": [float(p) for p in params.hit_probs],
-        "slot_duration": params.slot_duration,
-        "dark_rate": params.dark_rate,
-    }
-
-
-def channel_from_dict(data: dict) -> ChannelParams:
-    """The channel of a table-checked JSON object; slot_duration and dark_rate
-    default to 1.0 and 0.0.  Raises ValueError on inconsistent fields."""
-    return ChannelParams(
-        memory=data["memory"],
-        hit_probs=np.asarray(data["hit_probs"], dtype=float),
-        slot_duration=data.get("slot_duration", 1.0),
-        dark_rate=data.get("dark_rate", 0.0),
-    )
-
-
 _POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
 _NONNEGATIVE = _number(lambda v: 0 <= v < math.inf, "in [0, inf)")
 _BUDGET = _number(lambda v: 0 <= v < 1, "in [0, 1)")
@@ -129,7 +110,7 @@ _CHANNEL = {
 _POWER = {"peak": (_POSITIVE, _REQUIRED), "average": (_POSITIVE, _REQUIRED)}
 # the fields of every config and codebook that describe the link
 _LINK = {
-    "channel": (_object(_CHANNEL, build=channel_from_dict), _REQUIRED),
+    "channel": (_object(_CHANNEL, build=lambda d: ChannelParams(**d)), _REQUIRED),
     "power": (_object(_POWER), _REQUIRED),
 }
 
@@ -149,8 +130,8 @@ _CODEBOOK = {
 def codebook_to_dict(book: DICodebook) -> dict:
     return {
         "schema": CODEBOOK_SCHEMA,
-        "channel": channel_to_dict(book.params),
-        "power": {"peak": book.constraints.peak, "average": book.constraints.average},
+        "channel": {**asdict(book.params), "hit_probs": book.params.hit_probs.tolist()},
+        "power": asdict(book.constraints),
         "packing_radius": book.packing_radius,
         "type1_budget": book.type1_budget,
         "type2_budget": book.type2_budget,
@@ -170,7 +151,7 @@ def codebook_from_dict(data: dict) -> DICodebook:
         raise ValueError("codebook: " + "; ".join(problems))
     book = DICodebook(
         codewords=np.asarray(data["codewords"], dtype=float),
-        params=channel_from_dict(data["channel"]),
+        params=ChannelParams(**data["channel"]),
         constraints=PowerConstraints(**data["power"]),
         packing_radius=data["packing_radius"],
         type1_budget=data["type1_budget"],

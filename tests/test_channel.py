@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dipc import serialize
 from dipc import (
     ChannelParams,
     PowerConstraints,
@@ -34,6 +35,45 @@ class TestChannelParams:
             ChannelParams(memory=0, hit_probs=[1.0], slot_duration=0.0)
         with pytest.raises(ValueError):
             ChannelParams(memory=0, hit_probs=[1.0], dark_rate=-0.1)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field, message", [
+        ("hit_probs", "hit probabilities must lie in"),
+        ("slot_duration", "slot_duration must be positive"),
+        ("dark_rate", "dark_rate must be nonnegative"),
+        ("peak", "peak and average limits must be positive"),
+        ("average", "peak and average limits must be positive"),
+    ])
+    def test_nan_and_infinity_rejected(self, field, message, v):
+        """A NaN or infinite field would give NaN means or fail in numpy's
+        Poisson sampler long after the link was built."""
+        with pytest.raises(ValueError, match=message):
+            if field in ("peak", "average"):
+                PowerConstraints(**{"peak": 1.0, "average": 1.0, field: v})
+            elif field == "hit_probs":
+                ChannelParams(memory=1, hit_probs=[v, 0.5])
+            else:
+                ChannelParams(memory=0, hit_probs=[1.0], **{field: v})
+
+
+# Edge values of a float field; -0.0 compares equal to 0.
+GRID = [0, -0.0, -1, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("v", GRID, ids=repr)
+@pytest.mark.parametrize("field", ["hit_probs", "slot_duration", "dark_rate", "peak", "average"])
+def test_constructors_accept_what_the_link_tables_accept(field, v):
+    if field in ("peak", "average"):
+        table, build, d = serialize._POWER, PowerConstraints, {"peak": 1.0, "average": 1.0}
+    else:
+        table, build, d = serialize._CHANNEL, ChannelParams, {"memory": 1, "hit_probs": [0.5, 0.5]}
+    d[field] = [v, 1 - v] if field == "hit_probs" else v
+    try:
+        build(**d)
+    except ValueError:
+        assert serialize._problems(table, d)
+    else:
+        assert not serialize._problems(table, d)
 
 
 class TestEffectiveIntensity:

@@ -19,7 +19,6 @@ from dipc import (
     packing_log_count_bound,
     poisson_bhattacharyya_sq,
     power_ball_radius,
-    reparameterize,
     validate_codebook,
 )
 from dipc import di_code
@@ -58,21 +57,29 @@ class TestMemoryScaling:
             memory_scaling(64, -0.1)
 
 
+def sqrt_codeword(x, params=FIG2) -> np.ndarray:
+    """The square-root intensity coordinates of one codeword, as
+    :attr:`DICodebook.sqrt_codewords` gives them."""
+    return DICodebook(np.array([x], dtype=float), params, POWER, 0.0, 0.1, 0.1).sqrt_codewords[0]
+
+
 class TestReparameterize:
+    """The sqrt-domain map of :attr:`DICodebook.sqrt_codewords`."""
+
     def test_zero_input_sits_at_dark_floor(self):
-        s = reparameterize(np.zeros(4), FIG2)
+        s = sqrt_codeword(np.zeros(4))
         np.testing.assert_allclose(s, math.sqrt(0.1))
 
     def test_memoryless_perfect_squares(self):
         params = ChannelParams(memory=0, hit_probs=[1.0])
-        np.testing.assert_allclose(reparameterize([4.0, 9.0], params), [2.0, 3.0])
+        np.testing.assert_allclose(sqrt_codeword([4.0, 9.0], params), [2.0, 3.0])
 
     def test_burst_with_dark_rate(self):
-        s = reparameterize([10.0, 0.0, 0.0], FIG2)
+        s = sqrt_codeword([10.0, 0.0, 0.0])
         np.testing.assert_allclose(s, np.sqrt([6.1, 3.1, 1.1]))
 
     def test_only_first_n_slots(self):
-        assert reparameterize([10.0, 0.0, 0.0], FIG2).size == 3
+        assert sqrt_codeword([10.0, 0.0, 0.0]).size == 3
 
 
 class TestPowerBall:
@@ -126,8 +133,19 @@ class TestPackingBound:
         with pytest.raises(ValueError, match="packing radius must be positive"):
             packing_log_count_bound(10, self.ball(10, 1.0), 0.0)
 
+    @pytest.mark.parametrize("ball_radius", [math.nan, -math.inf])
+    def test_radius_outside_a_nan_or_negative_ball_rejected(self, ball_radius):
+        with pytest.raises(ValueError, match="packing radius 0.5 exceeds ball radius"):
+            packing_log_count_bound(8, ball_radius, 0.5)
+
 
 class TestConstruction:
+    @pytest.mark.parametrize("budgets", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_nan_budget_rejected(self, budgets):
+        # a NaN radius fails every distance test: the book held one codeword
+        with pytest.raises(ValueError, match="error budgets must be nonnegative"):
+            construct_codebook(8, FIG2, POWER, *budgets, 10, seed=1)
+
     def test_deterministic_in_seed(self):
         a = small_book(seed=5)
         b = small_book(seed=5)
@@ -233,7 +251,7 @@ def reference_codewords(n, params, constraints, seed, max_codewords, levels=None
     while len(accepted) < max_codewords:
         x = reference_candidate(n, constraints, levels, seed, candidate)
         candidate += 1
-        s = reparameterize(x, params)
+        s = sqrt_codeword(x, params)
         if sqrt_accepted:
             dmin = min(float(np.linalg.norm(s - t)) for t in sqrt_accepted)
             if dmin < needed:
@@ -332,16 +350,19 @@ class TestPackingEquivalence:
         """One batch holds rescaled and unrescaled candidates, and each is bit
         for bit the candidate drawn and rescaled on its own."""
         levels, constraints = (0.1, 0.2, 0.3), PowerConstraints(peak=0.3, average=average)
-        seen = []
-        original = di_code.reparameterize
+        calls = []
+        original = di_code.effective_intensity
 
         def recording(x, params):
-            seen.append((x.base, x.copy()))
+            calls.append((x.base, x.copy()))
             return original(x, params)
 
-        monkeypatch.setattr(di_code, "reparameterize", recording)
+        monkeypatch.setattr(di_code, "effective_intensity", recording)
         book = construct_codebook(n, FIG2, constraints, 0.1, 0.1, 1000, levels=levels,
                                   seed=seed)
+        # the candidates, then the finished book's intensity rows
+        seen, rows = calls[:-book.num_codewords], calls[-book.num_codewords:]
+        assert all(base is book.codewords for base, _ in rows)
         budget = n * average
         unbounded = PowerConstraints(peak=0.3, average=1.0)  # never rescales
         raw = [reference_candidate(n, unbounded, levels, seed, k) for k in range(len(seen))]

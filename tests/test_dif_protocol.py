@@ -239,6 +239,14 @@ class TestHashFamily:
         with pytest.raises(IndexError, match="is not an integer in"):
             hash_message(100, self.blocks(), self.FAMILY)
 
+    @pytest.mark.parametrize("seed, error", [
+        (1.5, TypeError), (True, TypeError), (2**200, ValueError), (-2**127 - 1, ValueError),
+    ], ids=["float", "bool", "2**200", "below-128-bit"])
+    def test_seed_outside_the_stream_seeds_rejected(self, seed, error):
+        # 1.5 and True hashed as seed 1; 2**200 overflowed at the first hash
+        with pytest.raises(error, match="stream seed"):
+            HashFamily(master_seed=seed, num_messages=4, hash_range=2)
+
     def test_bool_index_rejected(self):
         # True hashed as message 1
         with pytest.raises(IndexError, match="is not an integer in"):

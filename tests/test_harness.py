@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dipc import DICodebook, PowerConstraints, construct_codebook, decode_identify
+from dipc import ChannelParams, DICodebook, PowerConstraints, construct_codebook, decode_identify
 from dipc.cli import main as cli_main
 from dipc.errors import ConfigError
 from dipc import harness
@@ -502,7 +502,7 @@ UNREADABLE_JSON = {"not-utf8": b"\xff\xfe{}", "nested-too-deep": b"[" * 100_000}
 
 
 def small_book():
-    return construct_codebook(12, serialize.channel_from_dict(CHANNEL),
+    return construct_codebook(12, ChannelParams(**CHANNEL),
                               PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
                               max_codewords=3, seed=5)
 

@@ -252,6 +252,11 @@ class TestMinDistanceRadius:
         with pytest.raises(ValueError):
             min_distance_radius(-0.1, 0.2)
 
+    @pytest.mark.parametrize("budgets", [(math.nan, 0.1), (0.1, math.nan), (math.nan, math.nan)])
+    def test_nan_budget_rejected(self, budgets):
+        with pytest.raises(ValueError, match="error budgets must be nonnegative"):
+            min_distance_radius(*budgets)
+
     def test_tiny_budget_clamped_to_finite_radius(self):
         r = min_distance_radius(1e-18, 1e-18)
         assert math.isfinite(r) and r > 0

@@ -1,14 +1,16 @@
-"""Every module-level name of ``dipc`` is used, and every default is
-overridden, by the package, a demo or the benchmark, not only by tests; and
-every None default is left out by one of them, so no None fork serves tests
-alone.
+"""Every module-level name of ``dipc`` and every method and property of its
+classes is used, and every default is overridden, by the package, a demo or
+the benchmark, not only by tests; and every None default is left out by one
+of them, so no None fork serves tests alone.
 
 A name counts as used when some file under ``src/``, ``demos/`` or
 ``bench/`` loads it, reads it as an attribute, imports it (the package's
 re-export in ``__init__`` aside) or spells it as a string, as the bench
-tracer does.  Its own definition does not count.  A defaulted parameter or
-dataclass field counts as set when some call there of a callable of that
-name passes it by keyword, by position or through ``*``/``**``.
+tracer does.  Its own definition does not count.  Dataclass fields are not
+checked: ``asdict`` reads them without naming them (``ConverseBound.slack_bits``
+reaches converse_trend.csv that way).  A defaulted parameter or dataclass
+field counts as set when some call there of a callable of that name passes it
+by keyword, by position or through ``*``/``**``.
 """
 
 import ast
@@ -23,16 +25,25 @@ KEPT = {
     "typical_log_size", "collision_bound_check", "dif_rate",
     # readers of the files and decisions dipc produces
     "decode_identify", "read_results", "load_codebook", "read_plot_data",
+    # numpy's PCG64 calls it to seed itself
+    "generate_state",
+    # the README quickstart prints it
+    "max_type1",
 }
 
 
 def _definitions(tree):
+    """(name, qualified name) of every module-level name and every method and
+    property of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (t.id for t in targets if isinstance(t, ast.Name))
+            yield from ((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((f.name, f"{node.name}.{f.name}") for f in node.body
+                        if isinstance(f, ast.FunctionDef))
 
 
 def _references(path, tree):
@@ -49,11 +60,11 @@ def _references(path, tree):
 
 
 def _defined():
-    """Module-level name -> the module defining it."""
+    """Name -> where dipc first defines it, as module.name or module.Class.name."""
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for name in _definitions(ast.parse(path.read_text())):
-            defined.setdefault(name, path.stem)
+        for name, qualified in _definitions(ast.parse(path.read_text())):
+            defined.setdefault(name, f"{path.stem}.{qualified}")
     return defined
 
 
@@ -62,7 +73,7 @@ def test_every_module_level_name_is_used():
     for top in ("src", "demos", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             used.update(_references(path, ast.parse(path.read_text())))
-    unused = sorted(f"{module}.{name}" for name, module in _defined().items()
+    unused = sorted(qualified for name, qualified in _defined().items()
                     if name not in used | KEPT and not name.startswith("__"))
     assert not unused, f"defined in dipc but used only by tests: {unused}"
 
