@@ -26,6 +26,14 @@ from .seeding import spawn
 PROB_SUM_TOL = 1e-12
 
 
+def _check_int(name: str, value, low: int) -> int:
+    """``value`` as an int.  Raises ValueError, naming ``name``, unless it is a
+    Python or numpy integer (not a bool, not a float) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Channel description: memory, hit probabilities, slot length, dark rate.
@@ -41,8 +49,7 @@ class ChannelParams:
     def __post_init__(self):
         probs = np.asarray(self.hit_probs, dtype=float)
         object.__setattr__(self, "hit_probs", probs)
-        if self.memory < 0:
-            raise ValueError("memory must be nonnegative")
+        object.__setattr__(self, "memory", _check_int("memory", self.memory, 0))
         if probs.ndim != 1 or probs.size != self.memory + 1:
             raise ValueError(
                 f"hit_probs must have memory+1={self.memory + 1} entries, got {probs.size}"

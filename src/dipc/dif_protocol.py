@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelParams, PowerConstraints, as_counts, check_index, effective_intensity
+from .channel import (ChannelParams, PowerConstraints, _check_int, as_counts, check_index,
+                      effective_intensity)
 from .errors import ConstructionError
 from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
@@ -135,7 +136,9 @@ class HashFamily:
     hash_range: int
 
     def __post_init__(self):
-        if not 1 <= self.hash_range <= self.num_messages:
+        for name in ("num_messages", "hash_range"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
+        if self.hash_range > self.num_messages:
             raise ValueError("need 1 <= hash_range <= num_messages")
         _int_bytes(self.master_seed)  # rejects the seeds spawn rejects
 

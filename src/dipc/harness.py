@@ -9,11 +9,10 @@ versions they do not know.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -198,28 +197,25 @@ def validate_config(raw: dict) -> dict:
 
 @dataclass
 class RunOutput:
-    """Everything a run writes: result rows, plot tables and the di-sim codebook."""
+    """Everything a run writes: result rows and the di-sim codebook."""
 
     config: dict
     rows: list[dict]
-    tables: dict[str, list[dict]] = field(default_factory=dict)
     codebook: DICodebook | None = None
 
 
 def _run_bounds(config: dict) -> RunOutput:
     params, power = _link(config)
     report = bounds_mod.bound_report(config["kappa"], params, power.peak)
-    digest = config_digest(config)
-    rows = [result_row(digest, name, value, config["master_seed"])
-            for name, value in asdict(report).items()]
-    tables = {}
-    if "n_grid" in config:
-        tables["converse_trend"] = [
-            asdict(bounds_mod.converse_log_count(n, config["kappa"], params, power,
-                                                 config["lambda1"], config["lambda2"]))
-            for n in config["n_grid"]
-        ]
-    return RunOutput(config=config, rows=rows, tables=tables)
+    digest, seed = config_digest(config), config["master_seed"]
+    rows = [result_row(digest, name, value, seed) for name, value in asdict(report).items()]
+    # the finite-n converse: a converse_<field> row per field but n, keyed by n
+    for n in config.get("n_grid", ()):
+        bound = bounds_mod.converse_log_count(n, config["kappa"], params, power,
+                                              config["lambda1"], config["lambda2"])
+        rows += [result_row(digest, f"converse_{name}", value, seed, i=n)
+                 for name, value in asdict(bound).items() if name != "n"]
+    return RunOutput(config=config, rows=rows)
 
 
 def _run_di_sim(config: dict) -> RunOutput:
@@ -264,48 +260,15 @@ def run(config: dict) -> RunOutput:
     return _RUNNERS[config["kind"]](config)
 
 
-def emit_plot_data(rows: list[dict], path) -> None:
-    """Write a column-oriented text table: header row, one record per row.
-
-    Cells are JSON-encoded so :func:`read_plot_data` reproduces the values
-    exactly.  The header is the first row's keys, empty when there are no rows.
-    """
-    fieldnames = list(rows[0]) if rows else []
-    with serialize.atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([json.dumps(row.get(name)) for name in fieldnames])
-
-
-def _loads_line(text: str, number: int, cell: str | None = None):
+def _loads_line(text: str, number: int):
     """:func:`serialize._loads`, its ValueError naming the file's line ``number``
-    and, for a parse error, the column of ``text`` (the CSV ``cell``'s text
-    when given) where parsing failed."""
+    and, for a parse error, the column of ``text`` where parsing failed."""
     try:
         return _loads(text)
     except json.JSONDecodeError as exc:
-        where = "" if cell is None else f"cell {cell!r}, "
-        raise ValueError(f"line {number}: {exc.msg} ({where}column {exc.colno})") from None
+        raise ValueError(f"line {number}: {exc.msg} (column {exc.colno})") from None
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
-
-
-def read_plot_data(path) -> list[dict]:
-    """Parse a file written by :func:`emit_plot_data`; an empty file holds no
-    rows.  Raises ValueError, naming the line, on a cell that is not JSON or
-    a row whose cell count differs from the header's."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"line {reader.line_num}: expected {len(header)} cells,"
-                                 f" got {len(row)}")
-            rows.append({name: _loads_line(cell, reader.line_num, name)
-                         for name, cell in zip(header, row)})
-        return rows
 
 
 # The result row schema: every row holds exactly the CSV_COLUMNS keys, and
@@ -398,14 +361,15 @@ def _encode_rows(rows: list[dict]) -> tuple[list[str], list[str]]:
 # di-sim run's peak memory by megabytes.
 _ROWS_PER_WRITE = 512
 
-# Files only some runs write.  A run deletes those it does not write, so a
-# reused output directory never mixes two runs' files.
+# Files only some runs write (converse_trend.csv only older versions did).
+# A run deletes those it does not write, so a reused output directory never
+# mixes two runs' files.
 _KIND_FILES = ("codebook.json", "converse_trend.csv")
 
 
 def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
     """Persist a run: config.json, results.jsonl, summary.csv, plus the
-    codebook and plot tables.  Returns written paths.
+    di-sim codebook.  Returns written paths.
 
     Everything written is a pure function of the effective config.  Each
     file is replaced whole (:func:`serialize.atomic_open`).  meta.json is
@@ -432,10 +396,6 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
             summary.writelines(csv_lines)
     with serialize.atomic_open(written["config"], newline="") as fh:
         fh.write(canonical_bytes(output.config).decode())
-
-    for name, table in output.tables.items():
-        written[name] = str(out / f"{name}.csv")
-        emit_plot_data(table, written[name])
 
     if output.codebook is not None:
         written["codebook"] = str(out / "codebook.json")

@@ -7,6 +7,7 @@ from dipc import serialize
 from dipc import (
     ChannelParams,
     PowerConstraints,
+    construct_codebook,
     effective_intensity,
     log_likelihood,
     sample_output,
@@ -35,6 +36,22 @@ class TestChannelParams:
             ChannelParams(memory=0, hit_probs=[1.0], slot_duration=0.0)
         with pytest.raises(ValueError):
             ChannelParams(memory=0, hit_probs=[1.0], dark_rate=-0.1)
+
+    # 1.0 and True built and packed, then failed in calibrate_threshold
+    @pytest.mark.parametrize("memory", [1.0, True, -1], ids=["float", "bool", "negative"])
+    def test_memory_must_be_a_nonnegative_integer(self, memory):
+        with pytest.raises(ValueError, match=r"^memory must be an integer >= 0, got "):
+            ChannelParams(memory=memory, hit_probs=[0.5, 0.5])
+
+    def test_numpy_memory_is_stored_as_an_int(self, tmp_path):
+        # an np.int64 memory built, and save_codebook then failed on it
+        params = ChannelParams(memory=np.int64(1), hit_probs=[0.5, 0.5], dark_rate=0.1)
+        assert type(params.memory) is int
+        book = construct_codebook(6, params, PowerConstraints(peak=10.0, average=10.0), 0.1, 0.1,
+                                  max_codewords=3, seed=5)
+        serialize.save_codebook(book, tmp_path / "book.json")
+        loaded = serialize.load_codebook(tmp_path / "book.json")
+        assert loaded.params.memory == 1 and np.array_equal(loaded.codewords, book.codewords)
 
     @pytest.mark.parametrize("v", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field, message", [

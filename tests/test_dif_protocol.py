@@ -239,6 +239,26 @@ class TestHashFamily:
         with pytest.raises(IndexError, match="is not an integer in"):
             hash_message(100, self.blocks(), self.FAMILY)
 
+    # 2.5 hashed to 1.5, 1.0, ...; True and True built a family
+    @pytest.mark.parametrize("field, value", [
+        ("hash_range", 2.5), ("hash_range", 2.0), ("hash_range", True), ("hash_range", 0),
+        ("num_messages", 4.0), ("num_messages", True),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {"num_messages": 4, "hash_range": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+            HashFamily(master_seed=1, **sizes)
+
+    def test_numpy_sizes_hash_like_ints(self):
+        # an np.int64 hash_range overflowed at the first hash
+        family = HashFamily(master_seed=1, num_messages=np.int64(4), hash_range=np.int64(2))
+        assert family == HashFamily(master_seed=1, num_messages=4, hash_range=2)
+        assert type(family.num_messages) is int and type(family.hash_range) is int
+        plain = HashFamily(master_seed=1, num_messages=4, hash_range=2)
+        b = self.blocks(5)
+        assert [hash_message(i, b, family) for i in range(4)] == \
+            [hash_message(i, b, plain) for i in range(4)]
+
     @pytest.mark.parametrize("seed, error", [
         (1.5, TypeError), (True, TypeError), (2**200, ValueError), (-2**127 - 1, ValueError),
     ], ids=["float", "bool", "2**200", "below-128-bit"])

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dipc import ChannelParams, DICodebook, PowerConstraints, construct_codebook, decode_identify
+from dipc import (ChannelParams, DICodebook, PowerConstraints, construct_codebook,
+                  converse_log_count, decode_identify)
 from dipc.cli import main as cli_main
 from dipc.errors import ConfigError
 from dipc import harness
 from dipc.harness import (
     CSV_COLUMNS,
     OUT_DIR_ENV,
-    emit_plot_data,
-    read_plot_data,
     read_results,
     run,
     validate_config,
@@ -169,9 +169,26 @@ class TestRunBounds:
 
     def test_converse_trend_table(self):
         out = run(validate_config(bounds_config(kappa=0.25, n_grid=[64, 256])))
-        trend = out.tables["converse_trend"]
-        assert [row["n"] for row in trend] == [64, 256]
-        assert trend[0]["normalized"] > trend[1]["normalized"]
+        trend = {(row["metric"], row["message_i"]): row["estimate"] for row in out.rows
+                 if row["metric"].startswith("converse_")}
+        assert sorted(trend) == [(f"converse_{name}", n) for name in
+                                 ("bits", "memory", "normalized", "slack_bits") for n in (64, 256)]
+        assert trend["converse_normalized", 64] > trend["converse_normalized", 256]
+
+    def test_converse_rows_read_back_exactly(self, tmp_path):
+        cfg = validate_config(bounds_config(kappa=0.25, n_grid=[64, 256]))
+        _, rows = read_results(write_outputs(run(cfg), tmp_path)["results"])
+        params, power = harness._link(cfg)
+        digest = harness.config_digest(cfg)
+        for n in (64, 256):
+            expected = asdict(converse_log_count(n, 0.25, params, power, 0.1, 0.1))
+            assert expected.pop("n") == n
+            read = {row["metric"]: row for row in rows if row["message_i"] == n}
+            assert read == {f"converse_{name}": result_row(digest, f"converse_{name}", value, 0, i=n)
+                            for name, value in expected.items()}
+            assert all(type(row["estimate"]) is type(expected[name.removeprefix("converse_")])
+                       for name, row in read.items())
+            assert type(read["converse_memory"]["estimate"]) is int
 
 
 class TestDeterminism:
@@ -241,51 +258,6 @@ class TestSimKinds:
                                              pairs=[[top, 2**128 - 2]])))
         assert {(row["metric"], row["message_i"], row["message_j"]) for row in out.rows} == {
             ("type1", top, None), ("type2", top, 2**128 - 2), ("inner_error", None, None)}
-
-
-class TestPlotData:
-    def test_round_trip(self, tmp_path):
-        rows = [
-            {"n": 64, "normalized": 0.92, "label": "a"},
-            {"n": 256, "normalized": 0.875, "label": "b"},
-        ]
-        path = tmp_path / "trend.csv"
-        emit_plot_data(rows, path)
-        assert read_plot_data(path) == rows
-
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_plot_data([], path)
-        assert path.read_text().strip() == ""
-        assert read_plot_data(path) == []
-
-    def test_unwritable_path_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            emit_plot_data([{"a": 1}], tmp_path / "missing" / "file.csv")
-
-    def test_too_deep_cell_raises_value_error(self, tmp_path):
-        path = tmp_path / "deep.csv"
-        path.write_text("a\n" + "[" * 100_000 + "\n")
-        with pytest.raises(ValueError, match="JSON nested too deeply"):
-            read_plot_data(path)
-
-    # ragged rows came back as dicts of the cells zip() kept; a bad cell
-    # named no line
-    @pytest.mark.parametrize("text, message", [
-        ("n,bits\n1,2,3\n4\n", "line 2: expected 2 cells, got 3"),
-        ("n,bits\n1,2\n4\n", "line 3: expected 2 cells, got 1"),
-        ("n,bits\n1,2\n3,{\n", "line 3: Expecting property name"),
-        # the parser's own "line 1 column 2 (char 1)" followed the file's line
-        ("n,bits\n1,2\n3,{\n", "line 3: Expecting property name enclosed in double quotes"
-                               " (cell 'bits', column 2)"),
-        ("n,bits\n1,2\n[1 2],3\n", "line 3: Expecting ',' delimiter (cell 'n', column 4)"),
-    ], ids=["too-long", "too-short", "not-json", "not-json-whole", "column-in-cell"])
-    def test_malformed_row_names_its_line(self, tmp_path, text, message):
-        path = tmp_path / "trend.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="^" + re.escape(message)) as info:
-            read_plot_data(path)
-        assert str(info.value).count("line") == 1
 
 
 class TestResultFiles:
@@ -386,14 +358,18 @@ class TestRowEncoder:
             assert fh.read() == ",".join(CSV_COLUMNS) + "\r\n" + "".join(csv_lines)
 
     def test_run_rows_match_json_and_csv(self):
-        for cfg in (di_config(), dif_config(), bounds_config(kappa=0)):
+        for cfg in (di_config(), dif_config(), bounds_config(kappa=0),
+                    bounds_config(kappa=0.25, n_grid=[64, 256])):
             rows = run(validate_config(cfg)).rows
             assert harness._encode_rows(rows) == reference_lines(rows)
 
 
 # sha256 of every file write_outputs writes, taken before the row encoder
 # and the atomic writes replaced json.dumps, csv.DictWriter and in-place
-# writes.  The bench reference pins only summary.csv.
+# writes.  The bounds results.jsonl and summary.csv were re-taken when the
+# converse trend became converse_<field> rows; test_run_rows_match_json_and_csv
+# checks those rows against the json.dumps/csv.DictWriter reference.  The
+# bench reference pins only summary.csv.
 GOLDEN = {
     "di-sim": (di_config(), {
         "config.json": "fc13d58d90324c1c6b8c1742f898435e823eba7e4eaa8bbcc06916a8e137a28a",
@@ -408,9 +384,8 @@ GOLDEN = {
     }),
     "bounds": (bounds_config(kappa=0.25, n_grid=[64, 256]), {
         "config.json": "5c92a1c897998e2e3518c3ca9c3b491fb3c4a98df86a6bd46d322ad0a331900f",
-        "results.jsonl": "3de8d8bce229964d91edaa1c42e0a8b0d8484f38fb2b73b08e6d162a7dd44316",
-        "summary.csv": "4ad9bdf95963b60cc73a537c4ebbcf1e245295b1b3802ab71dfc2ecabd2960b5",
-        "converse_trend.csv": "d5be1111f39f4179e6c436e0d826b1cf9f5b58b6cde9be3fe0228703f33f378f",
+        "results.jsonl": "929738d8bc271473f38e8b927a9ff0c633b0c3b6396324f1502968e7cd5220f8",
+        "summary.csv": "0839984cbc3f0b4a48122f31ec1c0e967a64cd42eea63893eea9927bf465b3e9",
     }),
 }
 
@@ -701,9 +676,11 @@ class TestCLI:
         out.mkdir()
         (out / "notes.txt").write_text("mine")
         runs = [("di-sim", di_config(), {"codebook.json"}),
-                ("bounds", bounds_config(kappa=0.25, n_grid=[64]), {"converse_trend.csv"}),
+                ("bounds", bounds_config(kappa=0.25, n_grid=[64]), set()),
                 ("bounds", bounds_config(), set())]
         for kind, cfg, own in runs:
+            if "n_grid" in cfg:  # the converse table an older version wrote
+                (out / "converse_trend.csv").write_text("n,bits\r\n64,1.0\r\n")
             cfg_path = self.write_config(tmp_path, cfg)
             assert cli_main([kind, "--config", cfg_path, "--out", str(out)]) == 0
             capsys.readouterr()

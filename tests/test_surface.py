@@ -8,7 +8,7 @@ A name counts as used when some file under ``src/``, ``demos/`` or
 re-export in ``__init__`` aside) or spells it as a string, as the bench
 tracer does.  Its own definition does not count.  Dataclass fields are not
 checked: ``asdict`` reads them without naming them (``ConverseBound.slack_bits``
-reaches converse_trend.csv that way).  A defaulted parameter or dataclass
+reaches the bounds run's ``converse_slack_bits`` result rows that way).  A defaulted parameter or dataclass
 field counts as set when some call there of a callable of that name passes it
 by keyword, by position or through ``*``/``**``.
 """
@@ -24,7 +24,7 @@ KEPT = {
     # the paper's bookkeeping
     "typical_log_size", "collision_bound_check", "dif_rate",
     # readers of the files and decisions dipc produces
-    "decode_identify", "read_results", "load_codebook", "read_plot_data",
+    "decode_identify", "read_results", "load_codebook",
     # numpy's PCG64 calls it to seed itself
     "generate_state",
     # the README quickstart prints it
