@@ -16,7 +16,7 @@ input slots produces n + K output slots (the tail flushes the memory).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -26,16 +26,31 @@ from .seeding import spawn
 PROB_SUM_TOL = 1e-12
 
 
-def _check_int(name: str, value, low: int) -> int:
+def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
     """``value`` as an int.  Raises ValueError, naming ``name``, unless it is a
-    Python or numpy integer (not a bool, not a float) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    Python or numpy integer (not a bool, not a float) in [low, high)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value < high):
+        below = "" if high == math.inf else f" and below {high}"
+        raise ValueError(f"{name} must be an integer >= {low}{below}, got {value!r}")
     return int(value)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class _ByValue:
+    """Equality and hash of a frozen dataclass over its fields, an array as a tuple."""
+
+    def _key(self):
+        return tuple(tuple(v) if isinstance(v, np.ndarray) else v for v in astuple(self))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelParams(_ByValue):
     """Channel description: memory, hit probabilities, slot length, dark rate.
 
     ``hit_probs`` has ``memory + 1`` entries, each in [0, 1], summing to one.
@@ -99,9 +114,10 @@ def as_counts(y) -> np.ndarray:
 
 def check_index(index, count: int) -> int:
     """``index`` as an int.  Raises IndexError unless it is an integral
-    message index in [0, count); a bool is not one."""
-    if isinstance(index, (bool, np.bool_)) or not (0 <= index < count and index == int(index)):
-        raise IndexError(f"message index {index} is not an integer in [0, {count})")
+    message index in [0, count); a bool or a string is not one."""
+    if (isinstance(index, bool) or not isinstance(index, (int, float, np.integer, np.floating))
+            or not (0 <= index < count and index == int(index))):
+        raise IndexError(f"message index {index!r} is not an integer in [0, {count})")
     return int(index)
 
 

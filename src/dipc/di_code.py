@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, as_counts, check_index, effective_intensity,
-                      validate_power)
+from .channel import (ChannelParams, PowerConstraints, _check_int, as_counts, check_index,
+                      effective_intensity, validate_power)
 from .measures import min_distance_radius
 from .results import SimResult, sender_map, tally
 from .seeding import spawn
@@ -39,8 +39,7 @@ def memory_scaling(n: int, kappa: float) -> int:
     Computed through exp/log, so values within 1e-9 of an integer are snapped
     before flooring (1024**0.3 evaluates to 7.999999999999998).
     """
-    if n < 2:
-        raise ValueError("block length must be at least 2")
+    n = _check_int("n", n, 2, 2**63)
     if not 0 <= kappa < 1:
         raise ValueError("memory exponent must lie in [0, 1)")
     value = 2.0 ** (kappa * math.log2(n))
@@ -63,14 +62,14 @@ def power_ball_radius(
     n*(dark + avg*memory*T_s) and n*(dark + peak*memory*T_s); codewords must
     lie in both, so the binding one uses min(avg, peak).
     """
-    if memory < 1:
-        raise ValueError("memory must be at least 1 for the power-ball bound")
+    n, memory = _check_int("n", n, 1, 2**63), _check_int("memory", memory, 1, 2**63)
     rate = min(constraints.average, constraints.peak)
     return math.sqrt(n * params.dark_rate + n * rate * memory * params.slot_duration)
 
 
 def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -> float:
     """Sphere-packing ceiling on the codebook size, in bits: n * log2(2l/r)."""
+    n = _check_int("n", n, 1, 2**63)
     if not packing_radius > 0:
         raise ValueError("packing radius must be positive")
     if not packing_radius <= ball_radius:  # also true for NaN
@@ -169,8 +168,7 @@ def construct_codebook(
     times the current size of consecutive rejections.  Deterministic in
     ``seed``.
     """
-    if n < 1:
-        raise ValueError("block length must be positive")
+    n = _check_int("n", n, 1, 2**63)
     radius = min_distance_radius(type1_budget, type2_budget)
     needed = 2.0 * radius * separation_scale
     if levels is None:
@@ -178,8 +176,7 @@ def construct_codebook(
     levels = np.sort(np.asarray(levels, dtype=float))
     if levels.size == 0 or not np.all((levels >= 0) & (levels <= constraints.peak)):
         raise ValueError("level alphabet must be nonempty and lie in [0, peak]")
-    if max_codewords < 1:
-        raise ValueError("max_codewords must be at least 1")
+    max_codewords = _check_int("max_codewords", max_codewords, 1, 2**63)
     if not separation_scale >= 1:
         raise ValueError("separation_scale must be at least 1")
     counts = np.full(levels.size, n // levels.size)
@@ -283,8 +280,7 @@ def calibrate_threshold(
     for an independent verification run to confirm the budget with
     confidence.  Sets ``book.threshold`` and returns it.
     """
-    if trials < 1000:
-        raise ValueError("calibration needs at least 1000 trials")
+    trials = _check_int("trials", trials, 1000, 2**63)
     if not 0 <= target < math.inf:
         raise ValueError("target error rate must be finite and nonnegative")
 
@@ -321,8 +317,7 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
     decoder j on the same outputs.  All ordered pairs are measured up to
     64 codewords, a random subset of 64*N pairs beyond that.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_int("trials", trials, 1, 2**63)
     if book.num_codewords < 1:
         raise ValueError("codebook is empty")
 
@@ -355,8 +350,5 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
 
 def di_rate(num_messages: int, n: int) -> float:
     """Identification rate log2(N) / (n log2 n) on the superexponential scale."""
-    if num_messages < 1:
-        raise ValueError("message count must be at least 1")
-    if n < 2:
-        raise ValueError("block length must be at least 2")
+    num_messages, n = _check_int("num_messages", num_messages, 1), _check_int("n", n, 2, 2**63)
     return math.log2(num_messages) / (n * math.log2(n))

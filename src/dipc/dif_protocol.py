@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, _check_int, as_counts, check_index,
-                      effective_intensity)
+from .channel import (ChannelParams, PowerConstraints, _ByValue, _check_int, as_counts,
+                      check_index, effective_intensity)
 from .errors import ConstructionError
 from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
@@ -62,8 +62,8 @@ def blockize(y, memory: int) -> np.ndarray:
     return y[: full * period].reshape(full, period)
 
 
-@dataclass(frozen=True)
-class TypicalSetSpec:
+@dataclass(frozen=True, eq=False)
+class TypicalSetSpec(_ByValue):
     """Letter-typicality test parameters for the pilot's block law."""
 
     eps: float
@@ -118,6 +118,7 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
 def typical_log_size(n: int, spec: TypicalSetSpec) -> float:
     """Asymptotic typical-set size exponent in bits:
     ceil(n/(memory+1)) times the summed per-position Poisson entropies."""
+    n = _check_int("n", n, 1, 2**63)
     period = spec.letter_laws.size
     blocks = math.ceil(n / period)
     return blocks * letter_entropy_bits(spec.letter_laws, spec.tail_mass)
@@ -172,13 +173,10 @@ def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndar
     """Draw ``hash_range`` distinct balanced on-off codewords of length
     ceil(sqrt(n)), one per row; falls back to unbalanced patterns if the
     balanced pool is too small."""
-    if hash_range < 1:
-        raise ValueError("hash range must be positive")
+    n, hash_range = _check_int("n", n, 1, 2**63), _check_int("hash_range", hash_range, 1)
     length = inner_length(n)
-    if hash_range > 2 ** length:
-        raise ValueError(
-            f"hash range {hash_range} exceeds the 2^{length} distinct binary patterns"
-        )
+    if (hash_range - 1).bit_length() > length:
+        raise ValueError(f"hash_range {hash_range} exceeds the 2^{length} binary patterns")
     rng = spawn(seed, "inner")
     ones = length // 2
     patterns: list[bytes] = []
@@ -294,14 +292,12 @@ def build_dif_code(
     pilot plus the worst-case inner codeword must fit the average budget
     (:func:`dif_power_fits`).  The pilot needs a full block: n > memory.
     """
-    if n <= params.memory:
-        raise ValueError(f"phase-1 length must be positive and exceed memory={params.memory}")
-    if not dif_power_fits(n, params.memory, hash_range, constraints):
+    n = _check_int("n", n, params.memory + 1, 2**63)
+    hashes = HashFamily(master_seed=seed, num_messages=num_messages, hash_range=hash_range)
+    if not dif_power_fits(n, params.memory, hashes.hash_range, constraints):
         raise ValueError("the pilot plus the heaviest inner codeword exceed the average budget")
     peak = constraints.peak
     typ = TypicalSetSpec(eps=eps, letter_laws=letter_laws(params, peak), tail_mass=tail_mass)
-    hashes = HashFamily(master_seed=seed, num_messages=num_messages,
-                        hash_range=hash_range)
     inner = build_inner_code(n, hash_range, peak, seed)
     return DIFCode(n=n, peak=peak, typ=typ, hashes=hashes, inner=inner, params=params)
 
@@ -360,9 +356,8 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
     of the wrong message.  Per-trial streams are derived from
     (seed, sender, trial), so results are schedule-independent.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    pairs = [(int(i), int(j)) for i, j in message_pairs]
+    trials = _check_int("trials", trials, 1, 2**63)
+    pairs = [tuple(check_index(i, code.hashes.num_messages) for i in p) for p in message_pairs]
     if any(i == j for i, j in pairs):
         raise ValueError("Type II pairs must have distinct messages")
 
@@ -393,8 +388,7 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
 def estimate_inner_error(code: DIFCode, trials: int, seed: int) -> ErrorEstimate:
     """Measured decoding error of the inner code inside the protocol window
     (uniform hash values, pilot-tail interference included)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_int("trials", trials, 1, 2**63)
     errors = 0
     size = code.inner.shape[0]
     for t in range(trials):
@@ -413,6 +407,8 @@ def collision_bound_check(num_messages: int, hash_range: int, type2_budget: floa
     True iff (N-1) * 2^(-S * (type2 * log2(M) - 1)) < 1 with S = 2^log_size_bits,
     evaluated in log space.  Requires 1/M < type2.
     """
+    num_messages = _check_int("num_messages", num_messages, 1)
+    hash_range = _check_int("hash_range", hash_range, 1, 2**63)
     if 1.0 / hash_range >= type2_budget:
         raise ValueError("need hash collisions rarer than the Type II budget: 1/M < budget")
     if num_messages <= 1:
@@ -436,13 +432,11 @@ def collision_bound_check(num_messages: int, hash_range: int, type2_budget: floa
 def max_messages_log_log(n: int, params: ChannelParams, peak: float) -> float:
     """log2 log2 of the largest feasible message count:
     n/(memory+1) times the summed per-position pilot-law entropies (bits)."""
-    if n < 1:
-        raise ValueError("phase-1 length must be positive")
+    n = _check_int("n", n, 1, 2**63)
     return n / (params.memory + 1) * letter_entropy_bits(letter_laws(params, peak))
 
 
 def dif_rate(log_log_bits: float, n: int) -> float:
     """Feedback identification rate log2 log2(N) / n."""
-    if n < 1:
-        raise ValueError("block length must be positive")
+    n = _check_int("n", n, 1, 2**63)
     return log_log_bits / n

@@ -7,6 +7,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .channel import _check_int
+
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion.
@@ -14,8 +16,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     Unlike the Wald interval it stays inside [0, 1] and gives a nonzero upper
     bound when no successes were observed.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    trials = _check_int("trials", trials, 1, 2**63)
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials

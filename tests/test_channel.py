@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +53,26 @@ class TestChannelParams:
         serialize.save_codebook(book, tmp_path / "book.json")
         loaded = serialize.load_codebook(tmp_path / "book.json")
         assert loaded.params.memory == 1 and np.array_equal(loaded.codewords, book.codewords)
+
+    # the generated __eq__ compared hit_probs arrays with ==, and the ndarray
+    # field made the frozen class unhashable
+    def test_equality_and_hash_by_value(self):
+        params = ChannelParams(2, [0.6, 0.3, 0.1])
+        same = ChannelParams(2, np.array([0.6, 0.3, 0.1]))
+        assert params == same and hash(params) == hash(same)
+        assert params in [same] and {params: 1}[same] == 1
+        assert params == ChannelParams(np.int64(2), (0.6, 0.3, 0.1), slot_duration=1)
+        for other in (ChannelParams(2, [0.5, 0.4, 0.1]), ChannelParams(1, [0.7, 0.3]),
+                      ChannelParams(2, [0.6, 0.3, 0.1], slot_duration=2.0),
+                      ChannelParams(2, [0.6, 0.3, 0.1], dark_rate=0.1)):
+            assert params != other and other not in {params: 1}
+        assert params != (2, (0.6, 0.3, 0.1), 1.0, 0.0)
+
+    def test_asdict_unchanged(self):
+        params = ChannelParams(1, [0.5, 0.5], dark_rate=0.1)
+        data = dataclasses.asdict(params)
+        assert list(data) == ["memory", "hit_probs", "slot_duration", "dark_rate"]
+        assert type(data["hit_probs"]) is np.ndarray and data["hit_probs"].tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("v", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field, message", [

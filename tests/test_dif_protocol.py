@@ -80,8 +80,8 @@ class TestPilot:
     @pytest.mark.parametrize("n, peak, message", [
         (5, 0.0, "peak and average limits must be positive"),
         (5, -1.0, "peak and average limits must be positive"),
-        (0, 3.0, "phase-1 length must be positive"),
-        (-4, 3.0, "phase-1 length must be positive"),
+        (0, 3.0, "^n must be an integer >= 3"),
+        (-4, 3.0, "^n must be an integer >= 3"),
     ], ids=["peak-zero", "peak-negative", "n-zero", "n-negative"])
     def test_degenerate_pilot_rejected(self, n, peak, message):
         with pytest.raises(ValueError, match=message):
@@ -90,7 +90,7 @@ class TestPilot:
 
     def test_pilot_needs_a_full_block(self):
         # at n = memory the pilot (peak, 0) has no full block to test or hash
-        with pytest.raises(ValueError, match="phase-1 length must be positive and exceed memory=2"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 3 and below"):
             self.pilot_code(FIG2.memory, FIG2, peak=10.0)
         code = self.pilot_code(FIG2.memory + 1, FIG2, peak=10.0)
         assert blockize(code.pilot, FIG2.memory).shape == (1, 3)
@@ -164,6 +164,19 @@ class TestTypicality:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             typical_test(np.zeros((5, 2), dtype=int), self.spec())
+
+    def test_equality_and_hash_by_value(self):
+        spec = TypicalSetSpec(0.2, [6.1, 3.1, 1.1], 1e-12)
+        same = TypicalSetSpec(0.2, np.array([6.1, 3.1, 1.1]), 1e-12)
+        same._table  # a computed table is not part of the value
+        assert spec == same and hash(spec) == hash(same)
+        assert spec in [same] and {spec: 1}[same] == 1
+        for other in (TypicalSetSpec(0.3, [6.1, 3.1, 1.1], 1e-12),
+                      TypicalSetSpec(0.2, [6.1, 3.1], 1e-12),
+                      TypicalSetSpec(0.2, [6.1, 3.1, 1.1], 1e-9)):
+            assert spec != other and other not in {spec: 1}
+        assert pilot_spec(FIG2, 10.0, 0.2) == build_dif_code(
+            9, FIG2, full(10.0), num_messages=4, hash_range=2).typ
 
     def test_log_size_memoryless(self):
         params = ChannelParams(memory=0, hit_probs=[1.0])
@@ -466,6 +479,12 @@ class TestErrorEstimation:
             estimate_dif_errors(code, [(1, 1)], trials=10, seed=0)
         with pytest.raises(ValueError):
             estimate_dif_errors(code, [(0, 1)], trials=0, seed=0)
+        # int() truncated 0.5 to sender 0; a pair index is a message index
+        for pair in [(0.5, 1), (0, 8), (0, "1")]:
+            with pytest.raises(IndexError, match="^message index .* is not an integer in"):
+                estimate_dif_errors(code, [pair], trials=1, seed=0)
+        assert estimate_dif_errors(code, [(1.0, np.int64(0))], trials=3, seed=0).type2.keys() \
+            == {(1, 0)}
 
     def test_inner_error_estimate(self):
         code = build_dif_code(100, FIG2, full(10.0), num_messages=8, hash_range=4, seed=2)

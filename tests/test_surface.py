@@ -180,3 +180,21 @@ def test_every_none_default_is_left_out_by_some_caller():
                                for called, positional, keywords in calls))
     assert not always_set, f"None defaults that no caller in src/, demos/ or bench/ leaves out:" \
                            f" {always_set}"
+
+
+def test_every_integer_parameter_is_swept():
+    # a public callable with a size, count or index parameter is in the sweep
+    # of tests/test_integer_args.py or exempt from it with a reason
+    import inspect
+    import types
+
+    import dipc
+    from test_integer_args import EXEMPT, SWEEP, SWEPT_NAMES
+
+    public = {(name, param) for name, obj in vars(dipc).items()
+              if callable(obj) and not (name.startswith("_") or isinstance(obj, types.ModuleType))
+              for param in inspect.signature(obj).parameters if param in SWEPT_NAMES}
+    unswept = sorted(public - SWEEP.keys() - EXEMPT.keys())
+    assert not unswept, f"in neither the sweep nor its exemptions: {unswept}"
+    stale = sorted((SWEEP.keys() | EXEMPT.keys()) - public)
+    assert not stale, f"swept or exempt, but not a public parameter: {stale}"
