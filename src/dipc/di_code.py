@@ -77,7 +77,7 @@ def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -
     return n * math.log2(2.0 * ball_radius / packing_radius)
 
 
-@dataclass
+@dataclass(eq=False)
 class DICodebook:
     """Codewords, their channel, and the threshold decision rule.
 

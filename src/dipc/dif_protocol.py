@@ -34,7 +34,8 @@ import numpy as np
 from .channel import (ChannelParams, PowerConstraints, _ByValue, _check_int, as_counts,
                       check_index, effective_intensity)
 from .errors import ConstructionError
-from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
+from .measures import (DEFAULT_TAIL_MASS, _check_poisson, poisson_entropy_exact,
+                       poisson_pmf_truncated)
 from .results import ErrorEstimate, SimResult, tally
 from .seeding import _int_bytes, spawn
 
@@ -74,6 +75,7 @@ class TypicalSetSpec(_ByValue):
         object.__setattr__(self, "letter_laws", np.asarray(self.letter_laws, dtype=float))
         if not self.eps > 0:  # NaN would pass every string; +inf filters nothing
             raise ValueError("typicality slack must be positive")
+        _check_poisson(self.letter_laws, self.tail_mass)  # _table is built on first use
 
     @cached_property
     def _table(self):
@@ -169,44 +171,44 @@ def inner_length(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
+def _balanced_pool(length: int) -> float:
+    """Balanced on-off patterns of ``length`` slots; inf from 68 on, past any hash range."""
+    return math.comb(length, length // 2) if length < 68 else math.inf
+
+
+def inner_patterns_cover(n: int, hash_range: int) -> bool:
+    """Whether the 2^ceil(sqrt(n)) on-off patterns cover ``hash_range`` codewords."""
+    return (hash_range - 1).bit_length() <= inner_length(n)
+
+
 def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndarray:
     """Draw ``hash_range`` distinct balanced on-off codewords of length
     ceil(sqrt(n)), one per row; falls back to unbalanced patterns if the
     balanced pool is too small."""
     n, hash_range = _check_int("n", n, 1, 2**63), _check_int("hash_range", hash_range, 1)
     length = inner_length(n)
-    if (hash_range - 1).bit_length() > length:
+    if not inner_patterns_cover(n, hash_range):
         raise ValueError(f"hash_range {hash_range} exceeds the 2^{length} binary patterns")
     rng = spawn(seed, "inner")
-    ones = length // 2
-    patterns: list[bytes] = []
-    seen = set()
-    balanced_pool = math.comb(length, ones)
-    attempts = 0
-    while len(patterns) < hash_range:
-        attempts += 1
-        if attempts > 200 * hash_range + 64:
-            raise ConstructionError("could not sample enough distinct inner codewords")
-        bits = np.zeros(length, dtype=np.int8)
-        if len(seen) < balanced_pool:
+    ones, pool = length // 2, _balanced_pool(length)
+    patterns: dict[bytes, np.ndarray] = {}  # insertion-ordered: rows in draw order
+    for _ in range(200 * hash_range + 64):
+        if len(patterns) < pool:
+            bits = np.zeros(length, dtype=np.int8)
             bits[rng.choice(length, size=ones, replace=False)] = 1
         else:
             bits = rng.integers(0, 2, size=length).astype(np.int8)
-        key = bits.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        patterns.append(bits)
-    return np.stack(patterns).astype(float) * peak
+        patterns.setdefault(bits.tobytes(), bits)
+        if len(patterns) == hash_range:
+            return np.stack(list(patterns.values())).astype(float) * peak
+    raise ConstructionError("could not sample enough distinct inner codewords")
 
 
 def inner_pulse_bound(n: int, hash_range: int) -> int:
     """Most peak slots a codeword of ``build_inner_code(n, hash_range, ...)``
     can hold: half its length while the balanced patterns suffice, else all."""
     length = inner_length(n)
-    # from length 68 on there are over 2**63 balanced patterns
-    balanced = length >= 68 or hash_range <= math.comb(length, length // 2)
-    return length // 2 if balanced else length
+    return length // 2 if hash_range <= _balanced_pool(length) else length
 
 
 def dif_power_fits(n: int, memory: int, hash_range: int, constraints: PowerConstraints) -> bool:
@@ -231,7 +233,7 @@ def _ml_decode(y_window: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> in
     return int(np.argmax(terms.sum(axis=1) - totals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DIFCode:
     """The composed feedback code: pilot, typicality filter, hash family and
     inner transmission code over one channel."""
@@ -302,7 +304,7 @@ def build_dif_code(
     return DIFCode(n=n, peak=peak, typ=typ, hashes=hashes, inner=inner, params=params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DIFTranscript:
     """Audit record of one protocol run."""
 
@@ -405,21 +407,21 @@ def collision_bound_check(num_messages: int, hash_range: int, type2_budget: floa
     """Feasibility of the union bound over hash collisions.
 
     True iff (N-1) * 2^(-S * (type2 * log2(M) - 1)) < 1 with S = 2^log_size_bits,
-    evaluated in log space.  Requires 1/M < type2.
+    evaluated in log space.  Requires 1/M < type2 < 1 and a log_size_bits that is not NaN.
     """
     num_messages = _check_int("num_messages", num_messages, 1)
     hash_range = _check_int("hash_range", hash_range, 1, 2**63)
+    if not 0 < type2_budget < 1 or log_size_bits != log_size_bits:  # NaN; ints past 1e308 pass
+        raise ValueError(f"need type2_budget in (0, 1) and log_size_bits not NaN,"
+                         f" got {type2_budget!r} and {log_size_bits!r}")
     if 1.0 / hash_range >= type2_budget:
         raise ValueError("need hash collisions rarer than the Type II budget: 1/M < budget")
     if num_messages <= 1:
         return True
-    set_size = math.inf if log_size_bits > 1023 else 2.0 ** log_size_bits
     factor = type2_budget * math.log2(hash_range) - 1.0
     if factor <= 0:
         return False
-    threshold = set_size * factor
-    if math.isinf(threshold):
-        return True
+    threshold = (math.inf if log_size_bits > 1023 else 2.0 ** log_size_bits) * factor
     # Exact at the boundary: 2^(bits-1) <= N-1 < 2^bits.
     bits = (num_messages - 1).bit_length()
     if bits <= threshold:

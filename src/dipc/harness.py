@@ -23,7 +23,7 @@ from . import serialize
 from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook, calibrate_threshold, construct_codebook, estimate_errors
 from .dif_protocol import (build_dif_code, dif_power_fits, estimate_dif_errors,
-                           estimate_inner_error, inner_length)
+                           estimate_inner_error, inner_length, inner_patterns_cover)
 from .errors import ConfigError
 from .measures import DEFAULT_TAIL_MASS, MAX_MEAN
 from .results import result_row
@@ -151,8 +151,7 @@ SCHEMAS = {
          "n: the pilot needs a full block, n >= channel.memory + 1, got {n}"),
         (lambda d: d["hash_range"] <= d["num_messages"],
          "hash_range: must not exceed num_messages={num_messages}, got {hash_range}"),
-        # hash_range <= 2**ceil(sqrt(n)), the count of inner codewords, unbuilt
-        (lambda d: (d["hash_range"] - 1).bit_length() <= inner_length(d["n"]),
+        (lambda d: inner_patterns_cover(d["n"], d["hash_range"]),
          "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
         (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
          "pairs: a message index lies outside [0, {num_messages})"),

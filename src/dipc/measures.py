@@ -32,7 +32,7 @@ _STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
 _SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """Probability masses on a strictly increasing integer support.
 
@@ -60,6 +60,17 @@ class FiniteDistribution:
             raise ValueError(f"total mass {float(total)} not within 1e-9 of 1")
 
 
+def _check_poisson(means, tail_mass: float) -> None:
+    """Raise ValueError unless every mean and ``tail_mass`` suit :func:`poisson_pmf_truncated`."""
+    for mu in means:
+        if not mu >= 0:
+            raise ValueError("Poisson mean must be nonnegative")
+        if mu > MAX_MEAN:
+            raise ValueError(f"Poisson mean {float(mu)} exceeds MAX_MEAN={MAX_MEAN:g}")
+    if not 0 < tail_mass < 1:
+        raise ValueError("tail_mass must lie in (0, 1)")
+
+
 def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> FiniteDistribution:
     """Poisson(mu) on [0, y_max], y_max the smallest point with P(Y > y_max) <= tail_mass.
 
@@ -69,12 +80,7 @@ def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Fi
     ``tail_mass``, and P(Y > y) is their sum from the far end, so tails down
     to ~1e-300 are supported with numpy alone.
     """
-    if not mu >= 0:
-        raise ValueError("Poisson mean must be nonnegative")
-    if mu > MAX_MEAN:
-        raise ValueError(f"Poisson mean {float(mu)} exceeds MAX_MEAN={MAX_MEAN:g}")
-    if not 0 < tail_mass < 1:
-        raise ValueError("tail_mass must lie in (0, 1)")
+    _check_poisson([mu], tail_mass)
     if mu == 0:
         return FiniteDistribution(np.array([0]), np.array([1.0]), 0.0)
     # P(Y >= mu + t) <= exp(-depth) for t = sqrt(2 mu depth) + 2 depth / 3.

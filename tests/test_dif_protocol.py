@@ -13,6 +13,7 @@ from dipc import (
     build_dif_code,
     build_inner_code,
     collision_bound_check,
+    construct_codebook,
     dif_encode,
     dif_identify,
     dif_rate,
@@ -26,8 +27,9 @@ from dipc import (
     typical_test,
 )
 from dipc.dif_protocol import (TYPICALITY_GUARD_SIGMAS, TypicalSetSpec, dif_power_fits,
-                               inner_length, letter_laws, _ml_decode, _ml_table)
-from dipc.measures import DEFAULT_TAIL_MASS, poisson_pmf_truncated
+                               inner_length, inner_patterns_cover, inner_pulse_bound,
+                               letter_laws, _ml_decode, _ml_table)
+from dipc.measures import DEFAULT_TAIL_MASS, FiniteDistribution, poisson_pmf_truncated
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -164,6 +166,34 @@ class TestTypicality:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             typical_test(np.zeros((5, 2), dtype=int), self.spec())
+
+    # Each used to build and raise only at the first typicality test.
+    @pytest.mark.parametrize("laws, tail_mass, message", [
+        ([math.nan, 1.0, 1.0], 1e-12, r"^Poisson mean must be nonnegative$"),
+        ([6.1, -0.5, 1.1], 1e-12, r"^Poisson mean must be nonnegative$"),
+        ([6.1, 2e5, 1.1], 1e-12, r"^Poisson mean 200000\.0 exceeds MAX_MEAN=100000$"),
+        ([6.1, 3.1, 1.1], 2.0, r"^tail_mass must lie in \(0, 1\)$"),
+        ([6.1, 3.1, 1.1], 0.0, r"^tail_mass must lie in \(0, 1\)$"),
+        ([6.1, 3.1, 1.1], math.nan, r"^tail_mass must lie in \(0, 1\)$"),
+    ])
+    def test_bad_laws_and_tail_mass_rejected_when_built(self, laws, tail_mass, message):
+        for eps in (0.2, math.inf):
+            with pytest.raises(ValueError, match=message):
+                TypicalSetSpec(eps=eps, letter_laws=laws, tail_mass=tail_mass)
+        with pytest.raises(ValueError, match=message):  # the messages of the table's reader
+            for law in laws:
+                poisson_pmf_truncated(law, tail_mass)
+
+    def test_build_dif_code_rejects_them_before_any_test(self):
+        with pytest.raises(ValueError, match=r"^tail_mass must lie in \(0, 1\)$"):
+            build_dif_code(30, FIG2, full(5.0), num_messages=8, hash_range=4, tail_mass=2.0)
+        with pytest.raises(ValueError, match=r"^Poisson mean 120000\.1 exceeds MAX_MEAN"):
+            build_dif_code(30, FIG2, full(2e5), num_messages=8, hash_range=4)
+
+    def test_infinite_slack_on_a_silent_position_builds_without_a_table(self):
+        spec = TypicalSetSpec(eps=math.inf, letter_laws=[0.0, 3.0], tail_mass=1e-12)
+        assert typical_test(np.zeros((2, 2), dtype=int), spec)
+        assert "_table" not in vars(spec)
 
     def test_equality_and_hash_by_value(self):
         spec = TypicalSetSpec(0.2, [6.1, 3.1, 1.1], 1e-12)
@@ -304,6 +334,53 @@ class TestInnerCode:
         with pytest.raises(ValueError):
             build_inner_code(4, 5, peak=5.0, seed=0)  # length 2, max 4
 
+    # n -> hash ranges: 1 and 2, the balanced pool C(L, L//2) and one past it
+    # (the unbalanced fallback) up to all 2^L patterns, and L = 68/69.
+    INNER_GRID = {1: (1, 2), 4: (1, 2, 3, 4), 9: (1, 2, 3, 4, 8), 16: (1, 2, 6, 7, 16),
+                  25: (1, 2, 10, 11, 32), 64: (2, 70, 71), 4624: (1, 2, 5), 4625: (1, 2, 5)}
+    INNER_DIGEST = "db6f50d604c902da3fe57be9df32fd7ba75f9021d33bc148d4e39c65143baca8"
+
+    def grid_codes(self):
+        for n, ranges in self.INNER_GRID.items():
+            for hash_range in ranges:
+                for seed in range(3):
+                    yield n, hash_range, build_inner_code(n, hash_range, 2.5, seed)
+
+    def test_codes_pinned_over_the_grid(self):
+        digest = hashlib.sha256()
+        for *_, code in self.grid_codes():
+            digest.update(code.tobytes())
+        assert digest.hexdigest() == self.INNER_DIGEST
+
+    def test_no_codeword_exceeds_the_pulse_bound(self):
+        reached = set()
+        for n, hash_range, code in self.grid_codes():
+            bound = 2.5 * inner_pulse_bound(n, hash_range)
+            assert code.sum(axis=1).max() <= bound
+            if code.sum(axis=1).max() == bound:
+                reached.add((n, hash_range))
+        # one past the pool the bound is all L slots, and an all-on draw reaches it
+        assert inner_pulse_bound(4, 2) == 1 and inner_pulse_bound(4, 3) == 2
+        assert {(1, 2), (4, 3)} <= reached
+
+    def test_long_codewords_never_count_balanced_patterns(self, monkeypatch):
+        comb = math.comb
+
+        def short_comb(n, k):
+            assert n < 68, f"math.comb({n}, {k}) past the 2**63 pool"
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", short_comb)
+        code = build_inner_code(2**36, 2, 10.0, 1)
+        assert code.shape == (2, 2**18) and np.all(code.sum(axis=1) == 10.0 * 2**17)
+        assert inner_pulse_bound(2**36, 2) == 2**17
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 16, 17, 4625])
+    def test_patterns_cover_exactly_two_to_the_length(self, n):
+        length = inner_length(n)
+        assert inner_patterns_cover(n, 2**length)
+        assert not inner_patterns_cover(n, 2**length + 1)
+
     def test_inner_length_is_ceil_sqrt(self):
         assert all(inner_length(n) == math.ceil(math.sqrt(n)) for n in range(1, 2**20 + 1))
 
@@ -359,6 +436,27 @@ class TestBuildDIFCode:
         spill = truncated.phase2_intensities - standalone_intensities(truncated.inner)
         assert spill[:, : FIG2.memory].max() > 0
         np.testing.assert_allclose(spill[:, FIG2.memory :], 0.0, atol=1e-12)
+
+
+class TestRecordsCompareByIdentity:
+    """Records holding arrays compare and hash by identity; a generated
+    ``__eq__`` would compare the arrays and raise."""
+
+    MAKERS = {
+        "DIFCode": lambda: build_dif_code(9, FIG2, full(10.0), num_messages=4, hash_range=2),
+        "DIFTranscript": lambda: dif_encode(
+            0, build_dif_code(9, FIG2, full(10.0), num_messages=4, hash_range=2), seed=1)[1],
+        "DICodebook": lambda: construct_codebook(16, FIG2, full(10.0), 0.1, 0.1, 4, seed=3),
+        "FiniteDistribution": lambda: poisson_pmf_truncated(3.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_equal_contents_are_distinct_records(self, kind):
+        record, twin = self.MAKERS[kind](), self.MAKERS[kind]()
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert record in [record] and twin not in [record]
+        assert {record: 1}[record] == 1 and twin not in {record: 1}
 
 
 class TestProtocolRoundTrip:
@@ -539,6 +637,21 @@ class TestCollisionBound:
     def test_precondition(self):
         with pytest.raises(ValueError):
             collision_bound_check(4, 8, 0.125, 10.0)
+
+    # NaN budgets and NaN sizes answered False, and a budget of 1.5 True.
+    @pytest.mark.parametrize("num_messages", [1, 64])
+    @pytest.mark.parametrize("budget, bits", [(math.nan, 10.0), (1.5, 10.0), (1.0, 10.0),
+                                              (0.0, 10.0), (-0.5, 10.0), (0.5, math.nan)])
+    def test_meaningless_budget_or_size_rejected(self, num_messages, budget, bits):
+        with pytest.raises(ValueError, match=r"type2_budget in \(0, 1\) and log_size_bits not"):
+            collision_bound_check(num_messages, 32, budget, bits)
+
+    def test_set_sizes_past_the_float_range_are_feasible(self):
+        assert collision_bound_check(4, 16, 0.5, 10**400)
+
+    def test_collisions_must_be_rarer_than_the_budget(self):
+        with pytest.raises(ValueError, match="1/M < budget"):
+            collision_bound_check(64, 2, 0.5, 10.0)
 
 
 class TestMaxMessages:
