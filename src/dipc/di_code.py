@@ -79,7 +79,7 @@ def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -
 
 @dataclass(eq=False)
 class DICodebook:
-    """Codewords, their channel, and the threshold decision rule.
+    """Codewords (a nonempty N x n array), their channel, and the threshold decision rule.
 
     ``packing_radius`` is half the guaranteed minimum sqrt-domain distance.
     ``threshold`` starts at +inf (accept everything); run
@@ -93,6 +93,11 @@ class DICodebook:
     type1_budget: float
     type2_budget: float
     threshold: float = math.inf
+
+    def __post_init__(self):
+        shape = np.shape(self.codewords)
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError(f"codewords must be a nonempty 2-D array, got shape {shape}")
 
     @property
     def num_codewords(self) -> int:
@@ -114,8 +119,6 @@ class DICodebook:
 
 def validate_codebook(book: DICodebook) -> None:
     """Raise unless the codebook meets its structural invariants."""
-    if book.num_codewords < 1:
-        raise ValueError("codebook is empty")
     for i, x in enumerate(book.codewords):
         if not validate_power(x, book.constraints):
             raise ValueError(f"codeword {i} violates the power constraints")
@@ -254,6 +257,16 @@ def _statistics(outputs: np.ndarray, intensity: np.ndarray, n: int) -> np.ndarra
     return np.add.reduce(diff, axis=1) / n
 
 
+def _sender_statistics(book: DICodebook, trials: int, seed: int, label: str, i: int, tested=()):
+    """Draw ``trials`` outputs of codeword ``i`` from ``spawn(seed, label, i)``; yield their
+    statistics against decoder ``i``, then each decoder of ``tested``, one array at a time."""
+    n, intensities = book.block_length, book.intensities
+    outputs = spawn(seed, label, i).poisson(intensities[i], size=(trials, n + book.params.memory))
+    counts = outputs[:, :n].astype(float) if tested else outputs  # float once for many scores
+    for j in (i, *tested):
+        yield _statistics(counts, intensities[j], n)
+
+
 def decode_identify(y, index: int, book: DICodebook) -> bool:
     """Test "was codeword ``index`` sent?": accept iff the per-slot mean
     absolute deviation from its intensity is at most the threshold.  Counts
@@ -284,22 +297,17 @@ def calibrate_threshold(
     if not 0 <= target < math.inf:
         raise ValueError("target error rate must be finite and nonnegative")
 
-    n = book.block_length
-    intensities = book.intensities  # computed here, not once per thread
-    stats = np.empty((book.num_codewords, trials))
-
-    def sample(i):
-        rng = spawn(seed, "calibrate", i)
-        outputs = rng.poisson(intensities[i], size=(trials, n + book.params.memory))
-        stats[i] = _statistics(outputs, intensities[i], n)
-
-    sender_map(sample, range(book.num_codewords))
-
     # Per message the smallest observed value leaving at most
     # floor(target * trials) samples above it, then the max over messages.
     allowed = int(math.floor(target * trials))
     idx = max(0, trials - allowed - 1)
-    book.threshold = float(np.partition(stats, idx, axis=1)[:, idx].max())
+
+    def order_statistic(i):
+        own = next(_sender_statistics(book, trials, seed, "calibrate", i))
+        return np.partition(own, idx)[idx]
+
+    book.intensities  # computed here, not once per thread
+    book.threshold = float(max(sender_map(order_statistic, range(book.num_codewords))))
     return book.threshold
 
 
@@ -318,9 +326,6 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
     64 codewords, a random subset of 64*N pairs beyond that.
     """
     trials = _check_int("trials", trials, 1, 2**63)
-    if book.num_codewords < 1:
-        raise ValueError("codebook is empty")
-
     count = book.num_codewords
     if count <= FULL_PAIR_LIMIT:
         pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
@@ -331,19 +336,13 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
         pairs = [_ordered_pair(int(k), count) for k in sorted(picks)]
         sampling = "subsampled"
 
-    n = book.block_length
-    intensities = book.intensities  # computed here, not once per thread
-
     def decide(i, tested):
-        rng = spawn(seed, "estimate", i)
-        outputs = rng.poisson(intensities[i], size=(trials, n + book.params.memory))
-        counts = outputs[:, :n].astype(float)  # converted once, tested many times
-        own = _statistics(counts, intensities[i], n)
-        return (int((own > book.threshold).sum()),
-                [int((_statistics(counts, intensities[j], n) <= book.threshold).sum())
-                 for j in tested],
+        stats = _sender_statistics(book, trials, seed, "estimate", i, tested)
+        return (int((next(stats) > book.threshold).sum()),
+                [int((s <= book.threshold).sum()) for s in stats],
                 {})
 
+    book.intensities  # computed here, not once per thread
     return tally(sender_map, range(count), pairs, trials, seed, decide,
                  {"pair_sampling": sampling, "pairs": len(pairs), "threshold": book.threshold})
 

@@ -103,15 +103,15 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
         raise ValueError(
             f"blocks must be 2-D with {spec.letter_laws.size} columns, got {blocks.shape}"
         )
-    if not math.isfinite(spec.eps):
-        return True
     count = blocks.shape[0]
     if count == 0:
         raise ValueError("need at least one block")
+    if blocks.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    if not math.isfinite(spec.eps):
+        return True
     caps, offsets, pmf, base, variance = spec._table
     values = np.minimum(blocks, caps)
-    if values.min() < 0:
-        raise ValueError("counts must be nonnegative")
     freq = np.bincount((values + offsets).ravel(), minlength=pmf.size) / count
     tolerance = base + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count)
     return not np.any(np.abs(freq - pmf) > tolerance)
@@ -154,8 +154,14 @@ class HashFamily:
 def hash_message(index: int, blocks, family: HashFamily) -> int:
     """Hash value in [1, hash_range] for (message, shared block string): the
     keyed BLAKE2b of the index (16 bytes), the row and column counts (8 bytes
-    each, all little-endian) and the blocks as C-ordered ``<u8``."""
+    each, all little-endian) and the blocks as C-ordered ``<u8``.  Counts
+    must be nonnegative integers; integral floats are accepted."""
     index = check_index(index, family.num_messages)
+    blocks = np.asarray(blocks)
+    # unsigned blocks need no scan and signed ones one min(); as_counts checks the rest
+    kind = blocks.dtype.kind
+    if kind != "u" and not (kind == "i" and blocks.min(initial=0) >= 0):
+        blocks = as_counts(blocks)
     blocks = np.ascontiguousarray(blocks, dtype="<u8")
     if blocks.ndim != 2:
         raise ValueError(f"blocks must be 2-D, got shape {blocks.shape}")

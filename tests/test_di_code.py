@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +63,14 @@ def sqrt_codeword(x, params=FIG2) -> np.ndarray:
     """The square-root intensity coordinates of one codeword, as
     :attr:`DICodebook.sqrt_codewords` gives them."""
     return DICodebook(np.array([x], dtype=float), params, POWER, 0.0, 0.1, 0.1).sqrt_codewords[0]
+
+
+class TestCodebookShape:
+    @pytest.mark.parametrize("codewords", [np.empty((0, 3)), np.empty((3, 0)), np.ones(3)],
+                             ids=["no-rows", "no-columns", "1-D"])
+    def test_codewords_must_be_a_nonempty_matrix(self, codewords):
+        with pytest.raises(ValueError, match="codewords must be a nonempty 2-D array"):
+            DICodebook(codewords, FIG2, POWER, 0.1, 0.1, 0.1)
 
 
 class TestReparameterize:
@@ -512,6 +522,23 @@ class TestCalibration:
         order = np.sort(stats, axis=1)
         assert np.all(order[:, 898] == order[:, 899]) and np.all(order[:, 899] == order[:, 900])
         assert theta == order[:, 899].max()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_holds_no_codewords_by_trials_matrix(self, cpus, monkeypatch):
+        # 64 codewords at n = 1: an N x trials float64 matrix is 10 MB, while
+        # each sender's own arrays are a few trials-long vectors
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.1)
+        book = DICodebook(np.linspace(0.0, 10.0, 64)[:, None], params, POWER, 0.1, 0.1, 0.1)
+        trials = 20_000
+        tracemalloc.start()
+        try:
+            calibrate_threshold(book, trials, seed=2, target=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * trials * 8 / 2
 
 
 class TestStatistic:

@@ -155,6 +155,14 @@ class TestTypicality:
         spec = self.spec(eps=math.inf)
         assert typical_test(np.full((10, 3), 1000), spec)
 
+    # Both were typical at eps = inf while every finite eps raised.
+    @pytest.mark.parametrize("eps", [0.2, math.inf])
+    def test_negative_counts_and_no_blocks_rejected_at_any_slack(self, eps):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            typical_test(np.full((4, 3), -5), self.spec(eps))
+        with pytest.raises(ValueError, match="need at least one block"):
+            typical_test(np.zeros((0, 3), dtype=int), self.spec(eps))
+
     # A NaN slack made every string typical whatever its counts.
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -0.1, -math.inf])
     def test_slack_must_be_positive(self, eps):
@@ -314,6 +322,12 @@ class TestHashFamily:
         # True hashed as message 1
         with pytest.raises(IndexError, match="is not an integer in"):
             hash_message(True, self.blocks(), self.FAMILY)
+
+    # -1 hashed as 2**64 - 1 and 1.7 as 1
+    @pytest.mark.parametrize("blocks", [[[-1, 2, 3]], [[1.7, 2, 3]]])
+    def test_blocks_must_be_nonnegative_integers(self, blocks):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            hash_message(0, blocks, self.FAMILY)
 
 
 class TestInnerCode:
@@ -851,6 +865,7 @@ class TestHashLayout:
             "fortran": np.asfortranarray(big[:, :3]),
             "nested-list": big[:5, :3].tolist(),
             "int32": big[:, :3].astype(np.int32),
+            "integral-float": big[:, :3].astype(float),
         }
         for name, blocks in forms.items():
             for index in (0, 17, 2**127 - 1):
