@@ -101,15 +101,21 @@ def _as_codeword(x) -> np.ndarray:
 
 
 def as_counts(y) -> np.ndarray:
-    """Output counts as an int64 array; integral floats are accepted.  Raises
-    ValueError unless every count is an integer in [0, 2**63)."""
+    """Output counts as native int64, ``y`` itself when it already is one; any
+    integer or bool type and integral floats are accepted.  Raises ValueError
+    unless every count is an integer in [0, 2**63)."""
     y = np.asarray(y)
-    if y.dtype.kind in "bf":  # bool and float16 cannot hold 2**63
+    kind = y.dtype.kind
+    if kind in "bf":  # bool and float16 cannot hold 2**63
         y = y.astype(float, copy=False)
-    # the Python int 2**63: int64's max as a float rounds up to it
-    if np.any(y < 0) or np.any(y >= 2**63) or not np.all(np.equal(np.mod(y, 1), 0)):
+        # the Python int 2**63: int64's max as a float rounds up to it
+        valid = not (np.any(y < 0) or np.any(y >= 2**63) or np.any(np.mod(y, 1)))
+    else:  # an integer type takes one scan; str, object and complex fail
+        valid = (kind == "i" and y.min(initial=0) >= 0
+                 or kind == "u" and (y.itemsize < 8 or y.max(initial=0) < 2**63))
+    if not valid:
         raise ValueError("counts must be nonnegative integers")
-    return y.astype(np.int64)
+    return y.astype(np.int64, copy=False)
 
 
 def check_index(index, count: int) -> int:
@@ -142,12 +148,12 @@ def log_likelihood(y, x, params: ChannelParams) -> float:
     is scipy's ``gammaln(y + 1)``, computed with numpy alone.
     """
     x = _as_codeword(x)
-    y = np.asarray(y)
+    y = as_counts(y)
     if y.ndim != 1 or y.size != x.size + params.memory:
         raise ValueError(
             f"output length must be n+memory={x.size + params.memory}, got {y.size}"
         )
-    y = as_counts(y).astype(float)
+    y = y.astype(float)
     mu = effective_intensity(x, params)
     if np.any((mu == 0) & (y > 0)):
         return float("-inf")

@@ -95,7 +95,8 @@ class DICodebook:
     threshold: float = math.inf
 
     def __post_init__(self):
-        shape = np.shape(self.codewords)
+        self.codewords = np.asarray(self.codewords, dtype=float)
+        shape = self.codewords.shape
         if len(shape) != 2 or 0 in shape:
             raise ValueError(f"codewords must be a nonempty 2-D array, got shape {shape}")
 

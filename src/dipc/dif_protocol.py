@@ -72,10 +72,13 @@ class TypicalSetSpec(_ByValue):
     tail_mass: float
 
     def __post_init__(self):
-        object.__setattr__(self, "letter_laws", np.asarray(self.letter_laws, dtype=float))
+        laws = np.asarray(self.letter_laws, dtype=float)
+        object.__setattr__(self, "letter_laws", laws)
         if not self.eps > 0:  # NaN would pass every string; +inf filters nothing
             raise ValueError("typicality slack must be positive")
-        _check_poisson(self.letter_laws, self.tail_mass)  # _table is built on first use
+        if laws.ndim != 1 or laws.size == 0:
+            raise ValueError(f"letter_laws must be a nonempty 1-D array, got shape {laws.shape}")
+        _check_poisson(laws, self.tail_mass)  # _table is built on first use
 
     @cached_property
     def _table(self):
@@ -95,10 +98,11 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
     of every value must stay within eps*pmf + eps/|support| of the Poisson
     pmf, plus a finite-sample allowance that shrinks with the block count.
 
+    Counts must be nonnegative integers; integral floats are accepted.
     Counts beyond the truncated support share a single overflow bucket whose
     target mass is the recorded tail bound.
     """
-    blocks = np.asarray(blocks)
+    blocks = as_counts(blocks)
     if blocks.ndim != 2 or blocks.shape[1] != spec.letter_laws.size:
         raise ValueError(
             f"blocks must be 2-D with {spec.letter_laws.size} columns, got {blocks.shape}"
@@ -106,8 +110,6 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
     count = blocks.shape[0]
     if count == 0:
         raise ValueError("need at least one block")
-    if blocks.min() < 0:
-        raise ValueError("counts must be nonnegative")
     if not math.isfinite(spec.eps):
         return True
     caps, offsets, pmf, base, variance = spec._table
@@ -154,21 +156,16 @@ class HashFamily:
 def hash_message(index: int, blocks, family: HashFamily) -> int:
     """Hash value in [1, hash_range] for (message, shared block string): the
     keyed BLAKE2b of the index (16 bytes), the row and column counts (8 bytes
-    each, all little-endian) and the blocks as C-ordered ``<u8``.  Counts
-    must be nonnegative integers; integral floats are accepted."""
+    each, all little-endian) and the blocks as C-ordered little-endian 8-byte
+    words.  Counts must be nonnegative integers; integral floats are accepted."""
     index = check_index(index, family.num_messages)
-    blocks = np.asarray(blocks)
-    # unsigned blocks need no scan and signed ones one min(); as_counts checks the rest
-    kind = blocks.dtype.kind
-    if kind != "u" and not (kind == "i" and blocks.min(initial=0) >= 0):
-        blocks = as_counts(blocks)
-    blocks = np.ascontiguousarray(blocks, dtype="<u8")
+    blocks = as_counts(blocks)
     if blocks.ndim != 2:
         raise ValueError(f"blocks must be 2-D, got shape {blocks.shape}")
     h = family._keyed.copy()
     h.update(index.to_bytes(16, "little"))
     h.update(np.array(blocks.shape, dtype="<u8"))
-    h.update(blocks)
+    h.update(np.ascontiguousarray(blocks, dtype="<i8"))  # a view on little-endian hosts
     return 1 + int.from_bytes(h.digest(), "little") % family.hash_range
 
 
@@ -383,7 +380,6 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
             if decoded is None:
                 atypical += 1
                 continue
-            blocks = np.ascontiguousarray(blocks, dtype="<u8")  # hashed as is, once per trial
             for k, j in enumerate(tested):
                 accepts[k] += decoded == hash_message(j, blocks, code.hashes)
         return rejects, accepts, {"atypical": atypical}

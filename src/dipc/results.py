@@ -17,8 +17,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     bound when no successes were observed.
     """
     trials = _check_int("trials", trials, 1, 2**63)
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
+    successes = _check_int("successes", successes, 0, trials + 1)
     p = successes / trials
     z = 1.959963984540054  # the two-sided 95% normal quantile
     z2 = z * z

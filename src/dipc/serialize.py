@@ -17,8 +17,6 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook, validate_codebook
 
@@ -150,7 +148,7 @@ def codebook_from_dict(data: dict) -> DICodebook:
     if problems:
         raise ValueError("codebook: " + "; ".join(problems))
     book = DICodebook(
-        codewords=np.asarray(data["codewords"], dtype=float),
+        codewords=data["codewords"],
         params=ChannelParams(**data["channel"]),
         constraints=PowerConstraints(**data["power"]),
         packing_radius=data["packing_radius"],

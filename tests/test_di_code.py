@@ -72,6 +72,12 @@ class TestCodebookShape:
         with pytest.raises(ValueError, match="codewords must be a nonempty 2-D array"):
             DICodebook(codewords, FIG2, POWER, 0.1, 0.1, 0.1)
 
+    def test_nested_list_stored_as_array(self):
+        # a list passed the shape check, then num_codewords raised AttributeError
+        book = DICodebook([[1.0, 2.0]], FIG2, POWER, 0.1, 0.1, 0.1)
+        assert (book.num_codewords, book.block_length) == (1, 2)
+        assert book.codewords.dtype == np.float64
+
 
 class TestReparameterize:
     """The sqrt-domain map of :attr:`DICodebook.sqrt_codewords`."""

@@ -155,11 +155,14 @@ class TestTypicality:
         spec = self.spec(eps=math.inf)
         assert typical_test(np.full((10, 3), 1000), spec)
 
-    # Both were typical at eps = inf while every finite eps raised.
+    # Each was typical at eps = inf; at a finite eps, fractions ended in numpy's
+    # cast TypeError from bincount.
     @pytest.mark.parametrize("eps", [0.2, math.inf])
     def test_negative_counts_and_no_blocks_rejected_at_any_slack(self, eps):
         with pytest.raises(ValueError, match="counts must be nonnegative"):
             typical_test(np.full((4, 3), -5), self.spec(eps))
+        with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+            typical_test(np.full((4, 3), 0.5), self.spec(eps))
         with pytest.raises(ValueError, match="need at least one block"):
             typical_test(np.zeros((0, 3), dtype=int), self.spec(eps))
 
@@ -191,6 +194,13 @@ class TestTypicality:
         with pytest.raises(ValueError, match=message):  # the messages of the table's reader
             for law in laws:
                 poisson_pmf_truncated(law, tail_mass)
+
+    # a 2-D array failed with numpy's "truth value ... is ambiguous", and an
+    # empty one built a spec whose table failed at the first test
+    @pytest.mark.parametrize("laws", [[[1.0, 2.0]], [], 3.0], ids=["2-D", "empty", "scalar"])
+    def test_laws_must_be_a_nonempty_vector(self, laws):
+        with pytest.raises(ValueError, match=r"^letter_laws must be a nonempty 1-D array"):
+            TypicalSetSpec(eps=0.2, letter_laws=laws, tail_mass=1e-12)
 
     def test_build_dif_code_rejects_them_before_any_test(self):
         with pytest.raises(ValueError, match=r"^tail_mass must lie in \(0, 1\)$"):

@@ -95,6 +95,14 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(11, 10)
 
+    # each used to return an interval for a successes count no trial can give
+    @pytest.mark.parametrize("successes", [0.5, True, 1.5, -1, 4, "1", None])
+    def test_successes_must_be_an_integer_in_range(self, successes):
+        with pytest.raises(ValueError, match="^successes must be an integer >= 0 and below 4"):
+            wilson_interval(successes, 3)
+        with pytest.raises(ValueError, match="^successes must be an integer >= 0 and below 4"):
+            ErrorEstimate(successes, 3)
+
 
 class TestValidation:
     def test_valid_bounds_config(self):

@@ -182,19 +182,37 @@ def test_every_none_default_is_left_out_by_some_caller():
                            f" {always_set}"
 
 
-def test_every_integer_parameter_is_swept():
-    # a public callable with a size, count or index parameter is in the sweep
-    # of tests/test_integer_args.py or exempt from it with a reason
+def _public_parameters():
+    """(name, parameter) of every parameter of every public callable of dipc."""
     import inspect
     import types
 
     import dipc
+
+    return {(name, param) for name, obj in vars(dipc).items()
+            if callable(obj) and not (name.startswith("_") or isinstance(obj, types.ModuleType))
+            for param in inspect.signature(obj).parameters}
+
+
+def test_every_integer_parameter_is_swept():
+    # a public callable with a size, count or index parameter is in the sweep
+    # of tests/test_integer_args.py or exempt from it with a reason
     from test_integer_args import EXEMPT, SWEEP, SWEPT_NAMES
 
-    public = {(name, param) for name, obj in vars(dipc).items()
-              if callable(obj) and not (name.startswith("_") or isinstance(obj, types.ModuleType))
-              for param in inspect.signature(obj).parameters if param in SWEPT_NAMES}
+    public = {(name, param) for name, param in _public_parameters() if param in SWEPT_NAMES}
     unswept = sorted(public - SWEEP.keys() - EXEMPT.keys())
     assert not unswept, f"in neither the sweep nor its exemptions: {unswept}"
     stale = sorted((SWEEP.keys() | EXEMPT.keys()) - public)
     assert not stale, f"swept or exempt, but not a public parameter: {stale}"
+
+
+def test_every_count_reader_is_swept():
+    # a public callable with an output-count parameter is in the sweep of
+    # tests/test_counts.py or exempt from it with a reason
+    from test_counts import COUNT_NAMES, EXEMPT, SWEEP
+
+    public = {name for name, param in _public_parameters() if param in COUNT_NAMES}
+    unswept = sorted(public - SWEEP.keys() - EXEMPT.keys())
+    assert not unswept, f"in neither the counts sweep nor its exemptions: {unswept}"
+    stale = sorted((SWEEP.keys() | EXEMPT.keys()) - public)
+    assert not stale, f"swept or exempt, but not a public reader of counts: {stale}"
