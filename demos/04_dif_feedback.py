@@ -16,11 +16,14 @@ from dipc import (
     ChannelParams,
     PowerConstraints,
     build_dif_code,
+    collision_bound_check,
     dif_encode,
     dif_identify,
+    dif_rate,
     estimate_dif_errors,
     estimate_inner_error,
     max_messages_log_log,
+    typical_log_size,
 )
 
 channel = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0,
@@ -52,3 +55,16 @@ print(f"Type II (5 tested as 6): {result.type2[(5, 6)].estimate:.4f} "
 bits = max_messages_log_log(900, channel, peak=5.0)
 print(f"feasible message count at n=900: about 2^(2^{bits:.0f}), "
       "double exponential in the block length")
+
+# The paper's bookkeeping for this code: typical set, collision bound, rate.
+log_size = typical_log_size(code.n, code.typ)
+num, size = code.hashes.num_messages, code.hashes.hash_range
+print(f"\ntypical set of the n={code.n} pilot: about 2^{log_size:.0f} strings")
+for budget in (0.5, 0.2):
+    holds = collision_bound_check(num, size, budget, log_size)
+    print(f"collision union bound for {num} messages at M={size}, Type II budget {budget}: "
+          f"{holds} (budget * log2 M = {budget * math.log2(size):.1f}, needs > 1)")
+achieved = dif_rate(math.log2(math.log2(num)), code.n)
+floor = dif_rate(max_messages_log_log(code.n, channel, peak=5.0), code.n)
+print(f"achieved rate log2 log2({num}) / n = {achieved:.4f} against the floor "
+      f"{floor:.4f} bits per slot")

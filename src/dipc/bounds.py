@@ -31,9 +31,9 @@ def dif_capacity_lower(params: ChannelParams, peak: float) -> tuple[float, float
     Poisson entropies of the per-position pilot laws p_k*peak*T_s + dark and
     ``asymptotic`` is 0.5*log2(2*pi*e*peak*T_s).
     """
+    if not peak > 0:  # also true for NaN
+        raise ValueError(f"asymptotic form needs a positive peak, got {peak!r}")
     scale = peak * params.slot_duration
-    if scale <= 0:
-        raise ValueError("asymptotic form undefined for zero peak intensity")
     exact = letter_entropy_bits(letter_laws(params, peak)) / (params.memory + 1)
     asymptotic = 0.5 * math.log2(2 * math.pi * math.e * scale)
     return float(exact), asymptotic

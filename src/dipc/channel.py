@@ -118,6 +118,14 @@ def as_counts(y) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
+def as_output(y, length: int) -> np.ndarray:
+    """One output record: :func:`as_counts` of ``y``, which must have shape (length,)."""
+    y = as_counts(y)
+    if y.shape != (length,):
+        raise ValueError(f"output record must have shape ({length},), got {y.shape}")
+    return y
+
+
 def check_index(index, count: int) -> int:
     """``index`` as an int.  Raises IndexError unless it is an integral
     message index in [0, count); a bool or a string is not one."""
@@ -148,12 +156,7 @@ def log_likelihood(y, x, params: ChannelParams) -> float:
     is scipy's ``gammaln(y + 1)``, computed with numpy alone.
     """
     x = _as_codeword(x)
-    y = as_counts(y)
-    if y.ndim != 1 or y.size != x.size + params.memory:
-        raise ValueError(
-            f"output length must be n+memory={x.size + params.memory}, got {y.size}"
-        )
-    y = y.astype(float)
+    y = as_output(y, x.size + params.memory).astype(float)
     mu = effective_intensity(x, params)
     if np.any((mu == 0) & (y > 0)):
         return float("-inf")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, _check_int, as_counts, check_index,
+from .channel import (ChannelParams, PowerConstraints, _check_int, as_output, check_index,
                       effective_intensity, validate_power)
 from .measures import min_distance_radius
 from .results import SimResult, sender_map, tally
@@ -273,10 +273,8 @@ def decode_identify(y, index: int, book: DICodebook) -> bool:
     absolute deviation from its intensity is at most the threshold.  Counts
     must be nonnegative integers; integral floats are accepted."""
     index = check_index(index, book.num_codewords)
-    y = as_counts(y)
     n = book.block_length
-    if y.ndim != 1 or y.size != n + book.params.memory:
-        raise ValueError(f"output length must be {n + book.params.memory}, got {y.size}")
+    y = as_output(y, n + book.params.memory)
     return bool(_statistics(y[None, :], book.intensities[index], n)[0] <= book.threshold)
 
 

@@ -17,9 +17,9 @@ double-exponential scale.
 A :class:`DIFCode` holds the pilot as its n-slot input array (``pilot``) and
 the inner code as a (hash_range, ceil(sqrt(n))) array of codewords
 (``inner``), one row per hash value.  Cross-phase interference is modeled
-exactly: intensities come from the concatenated pilot + transmission input,
-so a truncated final pilot block leaks into the phase-2 window just as the
-channel law dictates.
+exactly: a slot's mean depends only on the last memory+1 inputs, so the last
+K = memory pilot slots, a truncated final block included, leak into the
+phase-2 window just as the channel law dictates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import (ChannelParams, PowerConstraints, _ByValue, _check_int, as_counts,
-                      check_index, effective_intensity)
+                      as_output, check_index, effective_intensity)
 from .errors import ConstructionError
 from .measures import (DEFAULT_TAIL_MASS, _check_poisson, poisson_entropy_exact,
                        poisson_pmf_truncated)
@@ -267,13 +267,11 @@ class DIFCode:
 
     @cached_property
     def phase2_intensities(self) -> np.ndarray:
-        """Per hash value, intensity of slots n+1 .. m+K under the
-        concatenated pilot + codeword input.  Shape (M, length + memory)."""
-        rows = []
-        for c in self.inner:
-            mu = effective_intensity(np.concatenate([self.pilot, c]), self.params)
-            rows.append(mu[self.n :])
-        return np.stack(rows)
+        """Per hash value, intensity of slots n+1 .. m+K under the pilot's
+        last memory slots followed by the codeword.  Shape (M, length + memory)."""
+        tail = self.pilot[max(self.n - self.params.memory, 0) :]
+        return np.stack([effective_intensity(np.concatenate([tail, c]), self.params)[tail.size :]
+                         for c in self.inner])
 
     @cached_property
     def phase2_table(self):
@@ -317,27 +315,29 @@ class DIFTranscript:
 
 
 def _encode_with_rngs(index: int, code: DIFCode, rng_phase1, rng_phase2):
+    """(phase-1 outputs, their blocks, the hash value sent, the phase-2 window)."""
     y1 = rng_phase1.poisson(code.phase1_intensity)
     blocks = blockize(y1, code.params.memory)
     value = hash_message(index, blocks, code.hashes)
-    y2 = rng_phase2.poisson(code.phase2_intensities[value - 1])
-    return np.concatenate([y1, y2]), blocks, value
+    return y1, blocks, value, rng_phase2.poisson(code.phase2_intensities[value - 1])
 
 
-def _receive(y, blocks, code: DIFCode) -> int | None:
-    """The verifier's hash value for an output record: None when the pilot
-    string is atypical, else the ML decode of the phase-2 window."""
+def _receive(blocks, window, code: DIFCode) -> int | None:
+    """The verifier's hash value: None when the pilot string is atypical,
+    else the ML decode of the phase-2 window."""
     if not typical_test(blocks, code.typ):
         return None
-    return _ml_decode(y[code.n :], code.phase2_table) + 1
+    return _ml_decode(window, code.phase2_table) + 1
 
 
 def dif_encode(index: int, code: DIFCode, seed: int):
     """Run the encoder side once: pilot through the channel, feedback, hash,
     inner transmission.  Returns the full output record (length m + memory)
     and a transcript; an atypical string is recorded, not raised."""
-    y, blocks, value = _encode_with_rngs(index, code, spawn(seed, "phase1"), spawn(seed, "phase2"))
-    return y, DIFTranscript(blocks=blocks, typical=typical_test(blocks, code.typ), hash_value=value)
+    y1, blocks, value, window = _encode_with_rngs(index, code, spawn(seed, "phase1"),
+                                                  spawn(seed, "phase2"))
+    return np.concatenate([y1, window]), DIFTranscript(
+        blocks=blocks, typical=typical_test(blocks, code.typ), hash_value=value)
 
 
 def dif_identify(index: int, y, code: DIFCode) -> bool:
@@ -345,11 +345,9 @@ def dif_identify(index: int, y, code: DIFCode) -> bool:
     otherwise ML-decode the phase-2 window and compare hash values.  Counts
     must be nonnegative integers; integral floats are accepted."""
     index = check_index(index, code.hashes.num_messages)
-    y = as_counts(y)
-    if y.ndim != 1 or y.size != code.output_length:
-        raise ValueError(f"output length must be {code.output_length}, got {y.size}")
+    y = as_output(y, code.output_length)
     blocks = blockize(y[: code.n], code.params.memory)
-    decoded = _receive(y, blocks, code)
+    decoded = _receive(blocks, y[code.n :], code)
     return decoded is not None and decoded == hash_message(index, blocks, code.hashes)
 
 
@@ -370,12 +368,12 @@ def estimate_dif_errors(code: DIFCode, message_pairs, trials: int, seed: int) ->
         rejects = atypical = 0
         accepts = [0] * len(tested)
         for t in range(trials):
-            y, blocks, sent_value = _encode_with_rngs(
+            _, blocks, sent_value, window = _encode_with_rngs(
                 sender, code,
                 spawn(seed, "dif", sender, t, "p1"),
                 spawn(seed, "dif", sender, t, "p2"),
             )
-            decoded = _receive(y, blocks, code)
+            decoded = _receive(blocks, window, code)
             rejects += decoded != sent_value  # an atypical string (None) rejects too
             if decoded is None:
                 atypical += 1

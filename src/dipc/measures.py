@@ -155,8 +155,8 @@ def poisson_bhattacharyya_sq(mu1: float, mu2: float) -> float:
     The cross term of the overlap sum is itself a Poisson series, which
     collapses the square of the coefficient to exp(-(sqrt(mu1) - sqrt(mu2))^2).
     """
-    if mu1 < 0 or mu2 < 0:
-        raise ValueError("Poisson means must be nonnegative")
+    if not (0 <= mu1 < math.inf and 0 <= mu2 < math.inf):  # also true for NaN
+        raise ValueError("Poisson means must be nonnegative and finite")
     return math.exp(-((math.sqrt(mu1) - math.sqrt(mu2)) ** 2))
 
 
@@ -181,6 +181,7 @@ def min_distance_radius(type1_budget: float, type2_budget: float) -> float:
 
 def poisson_entropy_exact(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
     """Entropy of Poisson(mu) in bits by summation over the truncated support."""
+    _check_poisson([mu], tail_mass)  # before the shortcut, as for any other mean
     if mu == 0:
         return 0.0
     dist = poisson_pmf_truncated(mu, tail_mass)

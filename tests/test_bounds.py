@@ -65,6 +65,11 @@ class TestDIFCapacityLower:
         with pytest.raises(ValueError):
             dif_capacity_lower(FIG2, peak=0.0)
 
+    @pytest.mark.parametrize("peak", [0.0, -1.0, math.nan])
+    def test_nonpositive_peak_named(self, peak):
+        with pytest.raises(ValueError, match=f"needs a positive peak, got {peak!r}"):
+            dif_capacity_lower(FIG2, peak=peak)
+
     def test_gap_shrinks_with_intensity(self):
         params = ChannelParams(memory=0, hit_probs=[1.0], dark_rate=0.1)
         gaps = []

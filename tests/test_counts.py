@@ -10,6 +10,7 @@ reader gives for the same counts as native int64.
 """
 
 import math
+import re
 from functools import cache
 
 import numpy as np
@@ -125,3 +126,24 @@ def test_native_int64_returned_as_is():
     y = np.arange(6).reshape(2, 3)
     assert as_counts(y) is y
     assert as_counts(y.astype(">i8")).dtype == np.dtype(np.int64)
+
+
+# reader of one output record -> (its record length, the reader given a record)
+RECORD_READERS = {
+    "decode_identify": lambda: (di_output().size, lambda y: dipc.decode_identify(y, 1, book())),
+    "dif_identify": lambda: (dif_output().size, lambda y: dipc.dif_identify(2, y, code())),
+    "log_likelihood": lambda: (di_output().size, lambda y: dipc.log_likelihood(
+        y, book().codewords[1], FIG2)),
+}
+
+
+@pytest.mark.parametrize("shape", ["row", "column", "short", "long"])
+@pytest.mark.parametrize("name", RECORD_READERS)
+def test_record_shape_rejected(name, shape):
+    length, read = RECORD_READERS[name]()
+    y = np.zeros(length, dtype=np.int64)
+    bad = {"row": y[None, :], "column": y[:, None], "short": y[1:],
+           "long": np.append(y, 0)}[shape]
+    message = rf"^output record must have shape \({length},\), got {re.escape(str(bad.shape))}$"
+    with pytest.raises(ValueError, match=message):
+        read(bad)

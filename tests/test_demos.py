@@ -14,7 +14,7 @@ STDOUT_SHA256 = {
     "01_channel_basics": "e5d0b46be9594b76b5ca9083edf97b9f49a65839d9bf06401d1436a8f0c8d337",
     "02_distance_measures": "60a49a331b7024829941b8d4aa93d42b9846e63d90f12ac3decb1154a9869d4e",
     "03_di_codebook": "1a948f586d940a19eaa084f12e20612927c819223027f4000a2d6b0562422e92",
-    "04_dif_feedback": "204f42801dd42fbae6e00ba28d3195dda03414390d177c3cdca9b61a263e124b",
+    "04_dif_feedback": "4cc7f13819445d3d859fa550ab7f2e9d33c35c7f45ce2f292f7edbe483524063",
     "05_capacity_bounds": "93b02a7a3c601d11ddba39ab64252a9f7b7ff413abc7122ff39e207a4b7e40ce",
 }
 

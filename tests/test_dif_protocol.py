@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dipc import (
     typical_log_size,
     typical_test,
 )
-from dipc.dif_protocol import (TYPICALITY_GUARD_SIGMAS, TypicalSetSpec, dif_power_fits,
+from dipc.dif_protocol import (TYPICALITY_GUARD_SIGMAS, DIFCode, TypicalSetSpec, dif_power_fits,
                                inner_length, inner_patterns_cover, inner_pulse_bound,
                                letter_laws, _ml_decode, _ml_table)
 from dipc.measures import DEFAULT_TAIL_MASS, FiniteDistribution, poisson_pmf_truncated
@@ -460,6 +461,54 @@ class TestBuildDIFCode:
         spill = truncated.phase2_intensities - standalone_intensities(truncated.inner)
         assert spill[:, : FIG2.memory].max() > 0
         np.testing.assert_allclose(spill[:, FIG2.memory :], 0.0, atol=1e-12)
+
+
+def full_input_phase2(code):
+    """Phase-2 intensities from the whole pilot + codeword input, sliced after the pilot."""
+    return np.stack([effective_intensity(np.concatenate([code.pilot, c]), code.params)[code.n :]
+                     for c in code.inner])
+
+
+class TestPhase2Window:
+    """The phase-2 table convolves only the pilot's last memory slots with each
+    codeword; it equals the full-input table bit for bit."""
+
+    @staticmethod
+    def direct_code(rng, n, memory, length, hash_range=3):
+        params = ChannelParams(memory=memory, hit_probs=rng.dirichlet(np.ones(memory + 1)),
+                               slot_duration=float(rng.uniform(0.1, 3.0)),
+                               dark_rate=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])))
+        peak = float(rng.uniform(0.5, 20.0))
+        return DIFCode(n=n, peak=peak, typ=pilot_spec(params, peak, 0.2),
+                       hashes=HashFamily(master_seed=0, num_messages=hash_range,
+                                         hash_range=hash_range),
+                       inner=rng.uniform(0.0, peak, size=(hash_range, length)), params=params)
+
+    @pytest.mark.parametrize("memory", range(9))
+    def test_equals_the_full_input_table(self, memory):
+        rng = np.random.default_rng(1000 + memory)
+        for _ in range(20):
+            code = self.direct_code(rng, int(rng.integers(memory + 1, 400)), memory,
+                                    int(rng.integers(1, 31)))
+            table = code.phase2_intensities
+            assert table.shape == (3, code.inner.shape[1] + memory)
+            assert np.array_equal(table, full_input_phase2(code))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_pilot_shorter_than_the_memory(self, n):
+        code = self.direct_code(np.random.default_rng(n), n, 5, 4)
+        assert np.array_equal(code.phase2_intensities, full_input_phase2(code))
+
+    def test_memory_does_not_grow_with_the_pilot(self):
+        code = build_dif_code(2**18, FIG2, full(5.0), num_messages=16, hash_range=16, seed=2)
+        code.pilot  # the pilot is phase 1's; only the table's build is measured
+        tracemalloc.start()
+        try:
+            code.phase2_intensities
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestRecordsCompareByIdentity:

@@ -204,6 +204,12 @@ class TestBhattacharyya:
         )
         assert poisson_bhattacharyya_sq(0.0, 1.0) == pytest.approx(math.exp(-1.0))
 
+    @pytest.mark.parametrize("means", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf),
+                                       (math.inf, 1.0), (0.0, -math.inf), (-1.0, 1.0)])
+    def test_closed_form_rejects_means_outside_the_laws(self, means):
+        with pytest.raises(ValueError, match="means must be nonnegative and finite"):
+            poisson_bhattacharyya_sq(*means)
+
     def test_closed_form_agrees_with_truncated_sum(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -294,5 +300,11 @@ class TestPoissonEntropy:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             poisson_entropy_exact(-1.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize("tail_mass", [0.0, 5.0, math.nan])
+    def test_tail_mass_checked_at_every_mean(self, mu, tail_mass):
+        with pytest.raises(ValueError, match="tail_mass must lie in"):
+            poisson_entropy_exact(mu, tail_mass=tail_mass)
         with pytest.raises(ValueError):
             poisson_entropy_approx(0.0)

@@ -21,8 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dipc"
 
 KEPT = {
-    # the paper's bookkeeping
-    "typical_log_size", "collision_bound_check", "dif_rate",
     # readers of the files and decisions dipc produces
     "decode_identify", "read_results", "load_codebook",
     # numpy's PCG64 calls it to seed itself
