@@ -248,6 +248,17 @@ class DIFCode:
     inner: np.ndarray
     params: ChannelParams
 
+    def __post_init__(self):
+        period, rows = self.params.memory + 1, self.hashes.hash_range
+        object.__setattr__(self, "n", _check_int("n", self.n, period, 2**63))
+        object.__setattr__(self, "inner", np.asarray(self.inner, dtype=float))
+        if self.inner.ndim != 2 or self.inner.shape[0] != rows or self.inner.shape[1] == 0:
+            raise ValueError(f"inner must be 2-D with hashes.hash_range={rows} rows and at least"
+                             f" one column, got shape {self.inner.shape}")
+        if self.typ.letter_laws.size != period:
+            raise ValueError(f"typ.letter_laws must have memory+1={period} entries,"
+                             f" got {self.typ.letter_laws.size}")
+
     @cached_property
     def pilot(self) -> np.ndarray:
         """Phase-1 input: (peak, 0, ..., 0) blocks of length memory+1 over
@@ -269,7 +280,7 @@ class DIFCode:
     def phase2_intensities(self) -> np.ndarray:
         """Per hash value, intensity of slots n+1 .. m+K under the pilot's
         last memory slots followed by the codeword.  Shape (M, length + memory)."""
-        tail = self.pilot[max(self.n - self.params.memory, 0) :]
+        tail = self.pilot[self.n - self.params.memory :]
         return np.stack([effective_intensity(np.concatenate([tail, c]), self.params)[tail.size :]
                          for c in self.inner])
 

@@ -12,12 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from . import bounds as bounds_mod
 from . import serialize
 from .channel import ChannelParams, PowerConstraints
@@ -95,76 +99,6 @@ _BUDGET_SUM = (lambda d: 0 < d["lambda1"] + d["lambda2"] < 1,
 _MEANS = (_means_fit, "power: channel.dark_rate + peak * channel.slot_duration must be"
                       f" at most {MAX_MEAN:g}")
 
-# kind -> (field table, cross-field rules besides _MEANS).  A rule is (test,
-# message); the message is formatted with the effective config.  Rules see
-# only configs whose fields all passed their checks, with defaults filled in.
-SCHEMAS = {
-    "bounds": ({
-        **_COMMON,
-        "kappa": (_BUDGET, _REQUIRED),
-        "lambda1": (_BUDGET, 0.1),
-        "lambda2": (_BUDGET, 0.1),
-        "n_grid": (_list(lambda n: _is_int(n) and 2 <= n < 2**63, "integers in [2, 2**63)"), None),
-    }, [
-        _BUDGET_SUM,
-        (_converse_fits, "n_grid: the packing radius exceeds the power-ball radius at some n"),
-    ]),
-    "di-sim": ({
-        **_COMMON,
-        "n": (_integer(1), _REQUIRED),
-        "trials": (_integer(1), _REQUIRED),
-        "lambda1": (_BUDGET, 0.1),
-        "lambda2": (_BUDGET, 0.1),
-        "max_codewords": (_integer(1), 16),
-        "levels": (_list(_is_number, "numbers"), None),
-        "separation_scale": (_number(lambda v: 1 <= v < math.inf, ">= 1"), 1.0),
-        "calibration_trials": (_integer(1000), lambda d: max(1000, d["trials"])),
-        "calibration_target": (_BUDGET, lambda d: d["lambda1"]),
-    }, [
-        _BUDGET_SUM,
-        (lambda d: all(0 <= v <= d["power"]["peak"] for v in d.get("levels", ())),
-         "levels: every value must lie in [0, power.peak={power[peak]}]"),
-        # the largest array: one codeword's calibration or estimation draws
-        (lambda d: max(d["trials"], d["calibration_trials"]) * (d["n"] + d["channel"]["memory"])
-         <= _MAX_CELLS,
-         f"trials: max(trials, calibration_trials) * (n + channel.memory) must be at most"
-         f" {_MAX_CELLS:,}"),
-    ]),
-    "dif-sim": ({
-        **_COMMON,
-        "n": (_integer(1), _REQUIRED),
-        "trials": (_integer(1), _REQUIRED),
-        "eps": (_number(lambda v: v > 0, "in (0, inf]"), 0.2),
-        "lambda2": (_number(lambda v: 0 < v < 1, "in (0, 1)"), 0.1),
-        # the next power of two of 2/lambda2: collisions spend half the Type II budget
-        "hash_range": (_integer(1), lambda d: 2 ** math.ceil(math.log2(2.0 / d["lambda2"]))),
-        "num_messages": (_integer(1, bits=128), lambda d: 2 * d["hash_range"]),
-        # a sender's index is a signed 128-bit seed part of its streams
-        "pairs": (_list(lambda p: isinstance(p, list) and len(p) == 2 and p[0] != p[1]
-                        and all(_is_int(v) and 0 <= v < 2**b for v, b in zip(p, (127, 128))),
-                        "[sent, tested] index pairs in [0, 2**127) x [0, 2**128), sent != tested"),
-                  lambda d: [[0, 1], [1, 0]]),
-        "inner_error_trials": (_integer(1), lambda d: d["trials"]),
-        "tail_mass": (_number(lambda v: 0 < v < 1, "in (0, 1)"), DEFAULT_TAIL_MASS),
-    }, [
-        (lambda d: d["n"] > d["channel"]["memory"],
-         "n: the pilot needs a full block, n >= channel.memory + 1, got {n}"),
-        (lambda d: d["hash_range"] <= d["num_messages"],
-         "hash_range: must not exceed num_messages={num_messages}, got {hash_range}"),
-        (lambda d: inner_patterns_cover(d["n"], d["hash_range"]),
-         "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
-        (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
-         "pairs: a message index lies outside [0, {num_messages})"),
-        (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"], _link(d)[1]),
-         "power: average too small for the pilot plus the heaviest inner codeword"),
-        # the largest arrays: the phase-2 intensity table and the phase-1 pilot
-        (lambda d: d["hash_range"] * (inner_length(d["n"]) + d["channel"]["memory"])
-         <= _MAX_CELLS and d["n"] <= _MAX_CELLS,
-         f"n: hash_range * (ceil(sqrt(n)) + channel.memory) and n must be at most {_MAX_CELLS:,}"),
-    ]),
-}
-KINDS = tuple(SCHEMAS)
-
 
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict, apply defaults, and return the effective
@@ -176,7 +110,7 @@ def validate_config(raw: dict) -> dict:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"kind: must be one of {list(KINDS)}, got {kind!r}"])
-    fields, rules = SCHEMAS[kind]
+    fields, rules, _ = SCHEMAS[kind]
     violations = _problems(fields, raw)
     if violations:
         raise ConfigError(violations)
@@ -247,16 +181,80 @@ def _run_dif_sim(config: dict) -> RunOutput:
     return RunOutput(config=config, rows=rows)
 
 
-_RUNNERS = {
-    "bounds": _run_bounds,
-    "di-sim": _run_di_sim,
-    "dif-sim": _run_dif_sim,
+# kind -> (field table, cross-field rules besides _MEANS, pipeline).  A rule is
+# (test, message); the message is formatted with the effective config.  Rules see
+# only configs whose fields all passed their checks, with defaults filled in.
+SCHEMAS = {
+    "bounds": ({
+        **_COMMON,
+        "kappa": (_BUDGET, _REQUIRED),
+        "lambda1": (_BUDGET, 0.1),
+        "lambda2": (_BUDGET, 0.1),
+        "n_grid": (_list(lambda n: _is_int(n) and 2 <= n < 2**63, "integers in [2, 2**63)"), None),
+    }, [
+        _BUDGET_SUM,
+        (_converse_fits, "n_grid: the packing radius exceeds the power-ball radius at some n"),
+    ], _run_bounds),
+    "di-sim": ({
+        **_COMMON,
+        "n": (_integer(1), _REQUIRED),
+        "trials": (_integer(1), _REQUIRED),
+        "lambda1": (_BUDGET, 0.1),
+        "lambda2": (_BUDGET, 0.1),
+        "max_codewords": (_integer(1), 16),
+        "levels": (_list(_is_number, "numbers"), None),
+        "separation_scale": (_number(lambda v: 1 <= v < math.inf, ">= 1"), 1.0),
+        "calibration_trials": (_integer(1000), lambda d: max(1000, d["trials"])),
+        "calibration_target": (_BUDGET, lambda d: d["lambda1"]),
+    }, [
+        _BUDGET_SUM,
+        (lambda d: all(0 <= v <= d["power"]["peak"] for v in d.get("levels", ())),
+         "levels: every value must lie in [0, power.peak={power[peak]}]"),
+        # the largest array: one codeword's calibration or estimation draws
+        (lambda d: max(d["trials"], d["calibration_trials"]) * (d["n"] + d["channel"]["memory"])
+         <= _MAX_CELLS,
+         f"trials: max(trials, calibration_trials) * (n + channel.memory) must be at most"
+         f" {_MAX_CELLS:,}"),
+    ], _run_di_sim),
+    "dif-sim": ({
+        **_COMMON,
+        "n": (_integer(1), _REQUIRED),
+        "trials": (_integer(1), _REQUIRED),
+        "eps": (_number(lambda v: v > 0, "in (0, inf]"), 0.2),
+        "lambda2": (_number(lambda v: 0 < v < 1, "in (0, 1)"), 0.1),
+        # the next power of two of 2/lambda2: collisions spend half the Type II budget
+        "hash_range": (_integer(1), lambda d: 2 ** math.ceil(math.log2(2.0 / d["lambda2"]))),
+        "num_messages": (_integer(1, bits=128), lambda d: 2 * d["hash_range"]),
+        # a sender's index is a signed 128-bit seed part of its streams
+        "pairs": (_list(lambda p: isinstance(p, list) and len(p) == 2 and p[0] != p[1]
+                        and all(_is_int(v) and 0 <= v < 2**b for v, b in zip(p, (127, 128))),
+                        "[sent, tested] index pairs in [0, 2**127) x [0, 2**128), sent != tested"),
+                  lambda d: [[0, 1], [1, 0]]),
+        "inner_error_trials": (_integer(1), lambda d: d["trials"]),
+        "tail_mass": (_number(lambda v: 0 < v < 1, "in (0, 1)"), DEFAULT_TAIL_MASS),
+    }, [
+        (lambda d: d["n"] > d["channel"]["memory"],
+         "n: the pilot needs a full block, n >= channel.memory + 1, got {n}"),
+        (lambda d: d["hash_range"] <= d["num_messages"],
+         "hash_range: must not exceed num_messages={num_messages}, got {hash_range}"),
+        (lambda d: inner_patterns_cover(d["n"], d["hash_range"]),
+         "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
+        (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
+         "pairs: a message index lies outside [0, {num_messages})"),
+        (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"], _link(d)[1]),
+         "power: average too small for the pilot plus the heaviest inner codeword"),
+        # the largest arrays: the phase-2 intensity table and the phase-1 pilot
+        (lambda d: d["hash_range"] * (inner_length(d["n"]) + d["channel"]["memory"])
+         <= _MAX_CELLS and d["n"] <= _MAX_CELLS,
+         f"n: hash_range * (ceil(sqrt(n)) + channel.memory) and n must be at most {_MAX_CELLS:,}"),
+    ], _run_dif_sim),
 }
+KINDS = tuple(SCHEMAS)
 
 
 def run(config: dict) -> RunOutput:
     """Dispatch a validated config to its pipeline."""
-    return _RUNNERS[config["kind"]](config)
+    return SCHEMAS[config["kind"]][2](config)
 
 
 def _loads_line(text: str, number: int):
@@ -408,17 +406,14 @@ def write_outputs(output: RunOutput, out_dir) -> dict[str, str]:
 
 
 def write_meta(out_dir, started: float, finished: float) -> str:
-    """Timestamps and wall clock, kept out of the deterministic files and
-    written last: a directory with meta.json holds one complete run."""
-    meta = {
-        "started_at": started,
-        "finished_at": finished,
-        "wall_clock_s": finished - started,
-    }
+    """Timestamps, wall clock and the versions that wrote the run, kept out of
+    the deterministic files and written last: a directory with meta.json
+    holds one complete run."""
     path = Path(out_dir) / "meta.json"
-    with serialize.atomic_open(path) as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    versions = {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+                "dipc": __version__}
+    serialize.write_json(path, {"started_at": started, "finished_at": finished,
+                                "wall_clock_s": finished - started, "versions": versions})
     return str(path)
 
 

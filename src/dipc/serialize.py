@@ -182,21 +182,14 @@ def atomic_open(path, newline=None):
         raise
 
 
-def save_codebook(book: DICodebook, path) -> None:
-    """Write ``json.dumps(codebook_to_dict(book), sort_keys=True, indent=2)``
-    and a newline, byte for byte.
-
-    json indents through its pure-Python encoder, so the codeword rows,
-    nearly all of the text, go through its C encoder on one line and are
-    broken into lines here: the rows hold numbers only.
-    """
-    doc = codebook_to_dict(book)
-    rows = (json.dumps(doc.pop("codewords"))
-            .replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
-            .replace("[[", "[\n    [\n      ").replace("]]", "\n    ]\n  ]"))
-    text = json.dumps({**doc, "codewords": 0}, sort_keys=True, indent=2)
+def write_json(path, doc) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, whole."""
     with atomic_open(path) as fh:
-        fh.write(text.replace('"codewords": 0', '"codewords": ' + rows, 1) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def save_codebook(book: DICodebook, path) -> None:
+    write_json(path, codebook_to_dict(book))
 
 
 def _loads(text: str):

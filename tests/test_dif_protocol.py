@@ -496,8 +496,9 @@ class TestPhase2Window:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_pilot_shorter_than_the_memory(self, n):
-        code = self.direct_code(np.random.default_rng(n), n, 5, 4)
-        assert np.array_equal(code.phase2_intensities, full_input_phase2(code))
+        # dif_encode used to raise "need at least one block" on such a code
+        with pytest.raises(ValueError, match="^n must be an integer >= 6 and below"):
+            self.direct_code(np.random.default_rng(n), n, 5, 4)
 
     def test_memory_does_not_grow_with_the_pilot(self):
         code = build_dif_code(2**18, FIG2, full(5.0), num_messages=16, hash_range=16, seed=2)
@@ -509,6 +510,69 @@ class TestPhase2Window:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestDIFCodeChecks:
+    """A directly built DIFCode rejects parts that do not fit together when it
+    is made, naming the field, not later inside the protocol."""
+
+    @staticmethod
+    def make(**changes):
+        code = build_dif_code(9, FIG2, full(10.0), num_messages=4, hash_range=2, seed=1)
+        parts = dict(n=code.n, peak=code.peak, typ=code.typ, hashes=code.hashes,
+                     inner=code.inner, params=code.params)
+        return DIFCode(**{**parts, **changes})
+
+    def test_inner_rows_must_match_the_hash_range(self):
+        # dif_encode used to raise numpy's bare IndexError past the table's rows
+        hashes = HashFamily(master_seed=1, num_messages=4, hash_range=4)
+        with pytest.raises(ValueError, match=r"^inner must be 2-D with hashes.hash_range=4 rows"
+                                             r" and at least one column, got shape \(2, 2\)"):
+            self.make(hashes=hashes, inner=np.full((2, 2), 10.0))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 0), (1, 2, 2)])
+    def test_inner_must_be_a_table(self, shape):
+        with pytest.raises(ValueError, match="^inner must be 2-D"):
+            self.make(inner=np.zeros(shape))
+
+    def test_letter_laws_must_cover_a_block(self):
+        with pytest.raises(ValueError, match="^typ.letter_laws must have memory[+]1=3 entries,"
+                                             " got 2"):
+            self.make(typ=TypicalSetSpec(eps=0.2, letter_laws=[6.1, 3.1], tail_mass=1e-12))
+
+    def test_fields_are_stored_as_int_and_float(self):
+        code = self.make(n=np.int64(9), inner=[[10, 0, 0], [0, 10, 0]])
+        assert type(code.n) is int and code.n == 9
+        assert code.inner.dtype == float and code.inner.shape == (2, 3)
+
+
+class TestTypeIIOracle:
+    """With an ideal hash a wrong message is accepted with probability exactly
+    P(typical)/M, whatever the inner code's error: the decoded value depends on
+    the blocks only through the sender's own hash value."""
+
+    def test_pooled_acceptances_match_one_over_m(self):
+        # dif-pilot's config, where P(atypical) is about 1e-4: 1/M stands for P(typical)/M.
+        # The tested messages of one trial are independent given the decoded value.
+        hash_range, trials, pairs = 32, 2000, [(s, t) for s in (0, 1) for t in range(2, 6)]
+        code = build_dif_code(900, FIG2, full(10.0), num_messages=64, hash_range=hash_range,
+                              seed=7)
+        result = estimate_dif_errors(code, pairs, trials, seed=7)
+        accepts = sum(result.type2[pair].successes for pair in pairs)
+        count, p = len(pairs) * trials, 1 / hash_range
+        z = (accepts - count * p) / math.sqrt(count * p * (1 - p))
+        assert abs(z) <= 4, f"{accepts} of {count} accepted, z = {z:.2f}"
+
+    # the bound is the 0.9999 quantile of chi-square with hash_range - 1 degrees of freedom
+    @pytest.mark.parametrize("hash_range, bound", [(32, 69.1), (24, 57.1)])
+    def test_hash_values_are_uniform_over_messages(self, hash_range, bound):
+        family = HashFamily(master_seed=7, num_messages=4096, hash_range=hash_range)
+        blocks = np.random.default_rng(7).poisson(letter_laws(FIG2, 10.0), size=(300, 3))
+        values = np.array([hash_message(j, blocks, family) for j in range(4096)])
+        assert values.min() >= 1 and values.max() <= hash_range
+        observed, expected = np.bincount(values - 1, minlength=hash_range), 4096 / hash_range
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < bound, f"chi-square {chi2:.1f} over {hash_range} values"
 
 
 class TestRecordsCompareByIdentity:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dipc
 from dipc import (ChannelParams, DICodebook, PowerConstraints, construct_codebook,
                   converse_log_count, decode_identify)
 from dipc.cli import main as cli_main
@@ -514,6 +516,13 @@ class TestSerialization:
         serialize.save_codebook(book, tmp_path / "book.json")
         doc = serialize.codebook_to_dict(book)
         assert (tmp_path / "book.json").read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_meta_names_the_versions_that_wrote_the_run(self, tmp_path):
+        text = Path(write_meta(tmp_path, 10.0, 12.5)).read_text()
+        versions = {"python": platform.python_version(), "numpy": np.__version__,
+                    "dipc": dipc.__version__}
+        assert text == json.dumps({"started_at": 10.0, "finished_at": 12.5, "wall_clock_s": 2.5,
+                                   "versions": versions}, sort_keys=True, indent=2) + "\n"
 
     def test_codebook_unknown_schema(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,8 @@ SWEEP = {
     **{("build_dif_code", p): lambda: dict(n=9, params=FIG2, constraints=POWER, num_messages=4,
                                            hash_range=2, seed=1)
        for p in ("n", "num_messages", "hash_range")},
+    ("DIFCode", "n"): lambda: dict(n=9, peak=10.0, typ=code().typ, hashes=code().hashes,
+                                   inner=code().inner, params=FIG2),
     ("dif_encode", "index"): lambda: dict(index=0, code=code(), seed=1),
     ("dif_identify", "index"): lambda: dict(index=0, y=np.zeros(code().output_length, dtype=int),
                                             code=code()),
@@ -88,7 +90,6 @@ SWEEP = {
 # (public callable, parameter) -> why the sweep skips it
 EXEMPT = {
     ("blockize", "memory"): "runs once per DIF trial, always on a checked ChannelParams.memory",
-    ("DIFCode", "n"): "a record that build_dif_code fills after checking n",
     ("ConverseBound", "n"): "a result record that converse_log_count fills with a checked n",
     ("ConverseBound", "memory"): "a result record holding memory_scaling's int",
 }
