@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -132,8 +132,9 @@ def typical_log_size(n: int, spec: TypicalSetSpec) -> float:
 class HashFamily:
     """Keyed hash family standing in for ideal uniform random maps.
 
-    Each message index keys a pseudorandom function from block strings to
-    [1, hash_range]; both parties evaluate it on the shared phase-1 string.
+    Each message index (hashed in 16 bytes: num_messages is below 2**128) keys a
+    pseudorandom function from block strings to [1, hash_range]; both parties
+    evaluate it on the shared phase-1 string.
     """
 
     master_seed: int
@@ -142,7 +143,7 @@ class HashFamily:
 
     def __post_init__(self):
         for name in ("num_messages", "hash_range"):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, 2**128))
         if self.hash_range > self.num_messages:
             raise ValueError("need 1 <= hash_range <= num_messages")
         _int_bytes(self.master_seed)  # rejects the seeds spawn rejects
@@ -189,6 +190,8 @@ def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndar
     ceil(sqrt(n)), one per row; falls back to unbalanced patterns if the
     balanced pool is too small."""
     n, hash_range = _check_int("n", n, 1, 2**63), _check_int("hash_range", hash_range, 1)
+    if not 0 < peak < math.inf:  # else NaN, negative or all-zero rows
+        raise ValueError(f"peak must be positive and finite, got {peak!r}")
     length = inner_length(n)
     if not inner_patterns_cover(n, hash_range):
         raise ValueError(f"hash_range {hash_range} exceeds the 2^{length} binary patterns")
@@ -238,33 +241,36 @@ def _ml_decode(y_window: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> in
 
 @dataclass(frozen=True, eq=False)
 class DIFCode:
-    """The composed feedback code: pilot, typicality filter, hash family and
-    inner transmission code over one channel."""
+    """The composed feedback code over one channel, a record of its parameters.
+    The pilot and inner code ``inner`` pulse at ``constraints.peak``; they and the
+    typicality filter ``typ`` are derived when the code is made.  The pilot needs
+    n > memory, and with the heaviest inner codeword must fit the average budget."""
 
     n: int
-    peak: float
-    typ: TypicalSetSpec
-    hashes: HashFamily
-    inner: np.ndarray
     params: ChannelParams
+    constraints: PowerConstraints
+    hashes: HashFamily
+    eps: float
+    tail_mass: float
+    typ: TypicalSetSpec = field(init=False)
+    inner: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        period, rows = self.params.memory + 1, self.hashes.hash_range
-        object.__setattr__(self, "n", _check_int("n", self.n, period, 2**63))
-        object.__setattr__(self, "inner", np.asarray(self.inner, dtype=float))
-        if self.inner.ndim != 2 or self.inner.shape[0] != rows or self.inner.shape[1] == 0:
-            raise ValueError(f"inner must be 2-D with hashes.hash_range={rows} rows and at least"
-                             f" one column, got shape {self.inner.shape}")
-        if self.typ.letter_laws.size != period:
-            raise ValueError(f"typ.letter_laws must have memory+1={period} entries,"
-                             f" got {self.typ.letter_laws.size}")
+        n = _check_int("n", self.n, self.params.memory + 1, 2**63)
+        object.__setattr__(self, "n", n)
+        peak, rows = self.constraints.peak, self.hashes.hash_range
+        if not dif_power_fits(n, self.params.memory, rows, self.constraints):
+            raise ValueError("the pilot plus the heaviest inner codeword exceed the average budget")
+        object.__setattr__(self, "typ", TypicalSetSpec(
+            self.eps, letter_laws(self.params, peak), self.tail_mass))
+        object.__setattr__(self, "inner", build_inner_code(n, rows, peak, self.hashes.master_seed))
 
     @cached_property
     def pilot(self) -> np.ndarray:
         """Phase-1 input: (peak, 0, ..., 0) blocks of length memory+1 over
         the n slots; a trailing partial block is truncated."""
         block = np.zeros(self.params.memory + 1)
-        block[0] = self.peak
+        block[0] = self.constraints.peak
         return np.tile(block, math.ceil(self.n / block.size))[: self.n]
 
     @property
@@ -300,20 +306,10 @@ def build_dif_code(
     seed: int = 0,
     tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> DIFCode:
-    """Assemble the three-phase code.
-
-    The pilot and the inner codewords pulse at ``constraints.peak``; the
-    pilot plus the worst-case inner codeword must fit the average budget
-    (:func:`dif_power_fits`).  The pilot needs a full block: n > memory.
-    """
-    n = _check_int("n", n, params.memory + 1, 2**63)
+    """The three-phase code whose hash family is keyed by ``seed``."""
     hashes = HashFamily(master_seed=seed, num_messages=num_messages, hash_range=hash_range)
-    if not dif_power_fits(n, params.memory, hashes.hash_range, constraints):
-        raise ValueError("the pilot plus the heaviest inner codeword exceed the average budget")
-    peak = constraints.peak
-    typ = TypicalSetSpec(eps=eps, letter_laws=letter_laws(params, peak), tail_mass=tail_mass)
-    inner = build_inner_code(n, hash_range, peak, seed)
-    return DIFCode(n=n, peak=peak, typ=typ, hashes=hashes, inner=inner, params=params)
+    return DIFCode(n=n, params=params, constraints=constraints, hashes=hashes, eps=eps,
+                   tail_mass=tail_mass)
 
 
 @dataclass(frozen=True, eq=False)

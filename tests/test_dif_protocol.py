@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -308,8 +309,16 @@ class TestHashFamily:
     ])
     def test_sizes_must_be_integers(self, field, value):
         sizes = {"num_messages": 4, "hash_range": 1, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1 and below"
+                                             f" {2**128}, got "):
             HashFamily(master_seed=1, **sizes)
+
+    def test_num_messages_fits_the_16_byte_index(self):
+        # hash_message(2**129, ...) raised a bare OverflowError writing the index
+        with pytest.raises(ValueError, match="^num_messages must be an integer >= 1 and below"):
+            HashFamily(master_seed=1, num_messages=2**128, hash_range=4)
+        top = HashFamily(master_seed=1, num_messages=2**128 - 1, hash_range=4)
+        assert 1 <= hash_message(2**128 - 2, self.blocks(), top) <= 4
 
     def test_numpy_sizes_hash_like_ints(self):
         # an np.int64 hash_range overflowed at the first hash
@@ -358,6 +367,12 @@ class TestInnerCode:
     def test_range_too_large(self):
         with pytest.raises(ValueError):
             build_inner_code(4, 5, peak=5.0, seed=0)  # length 2, max 4
+
+    # nan and inf gave NaN rows, -1 negative rates, 0 two identical all-zero rows
+    @pytest.mark.parametrize("peak", [math.nan, -1.0, math.inf, 0.0])
+    def test_peak_must_be_positive_and_finite(self, peak):
+        with pytest.raises(ValueError, match="^peak must be positive and finite"):
+            build_inner_code(9, 2, peak, 1)
 
     # n -> hash ranges: 1 and 2, the balanced pool C(L, L//2) and one past it
     # (the unbalanced fallback) up to all 2^L patterns, and L = 68/69.
@@ -474,22 +489,19 @@ class TestPhase2Window:
     codeword; it equals the full-input table bit for bit."""
 
     @staticmethod
-    def direct_code(rng, n, memory, length, hash_range=3):
+    def direct_code(rng, n, memory):
         params = ChannelParams(memory=memory, hit_probs=rng.dirichlet(np.ones(memory + 1)),
                                slot_duration=float(rng.uniform(0.1, 3.0)),
                                dark_rate=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])))
         peak = float(rng.uniform(0.5, 20.0))
-        return DIFCode(n=n, peak=peak, typ=pilot_spec(params, peak, 0.2),
-                       hashes=HashFamily(master_seed=0, num_messages=hash_range,
-                                         hash_range=hash_range),
-                       inner=rng.uniform(0.0, peak, size=(hash_range, length)), params=params)
+        return DIFCode(n, params, PowerConstraints(peak, peak), HashFamily(0, 3, 3), 0.2, 1e-12)
 
     @pytest.mark.parametrize("memory", range(9))
     def test_equals_the_full_input_table(self, memory):
         rng = np.random.default_rng(1000 + memory)
         for _ in range(20):
-            code = self.direct_code(rng, int(rng.integers(memory + 1, 400)), memory,
-                                    int(rng.integers(1, 31)))
+            # inner lengths ceil(sqrt(n)) from 2 to 30; three codewords need n >= 2
+            code = self.direct_code(rng, int(rng.integers(max(memory + 1, 2), 901)), memory)
             table = code.phase2_intensities
             assert table.shape == (3, code.inner.shape[1] + memory)
             assert np.array_equal(table, full_input_phase2(code))
@@ -498,7 +510,7 @@ class TestPhase2Window:
     def test_pilot_shorter_than_the_memory(self, n):
         # dif_encode used to raise "need at least one block" on such a code
         with pytest.raises(ValueError, match="^n must be an integer >= 6 and below"):
-            self.direct_code(np.random.default_rng(n), n, 5, 4)
+            self.direct_code(np.random.default_rng(n), n, 5)
 
     def test_memory_does_not_grow_with_the_pilot(self):
         code = build_dif_code(2**18, FIG2, full(5.0), num_messages=16, hash_range=16, seed=2)
@@ -513,35 +525,44 @@ class TestPhase2Window:
 
 
 class TestDIFCodeChecks:
-    """A directly built DIFCode rejects parts that do not fit together when it
-    is made, naming the field, not later inside the protocol."""
+    """A DIFCode is made from its parameters alone: the typicality filter and
+    the inner code are derived from them, and a bad parameter is rejected when
+    the code is made, not later inside the protocol."""
 
     @staticmethod
     def make(**changes):
-        code = build_dif_code(9, FIG2, full(10.0), num_messages=4, hash_range=2, seed=1)
-        parts = dict(n=code.n, peak=code.peak, typ=code.typ, hashes=code.hashes,
-                     inner=code.inner, params=code.params)
-        return DIFCode(**{**parts, **changes})
+        parameters = dict(n=9, params=FIG2, constraints=full(10.0),
+                          hashes=HashFamily(master_seed=1, num_messages=4, hash_range=2),
+                          eps=0.2, tail_mass=DEFAULT_TAIL_MASS)
+        return DIFCode(**{**parameters, **changes})
 
-    def test_inner_rows_must_match_the_hash_range(self):
-        # dif_encode used to raise numpy's bare IndexError past the table's rows
-        hashes = HashFamily(master_seed=1, num_messages=4, hash_range=4)
-        with pytest.raises(ValueError, match=r"^inner must be 2-D with hashes.hash_range=4 rows"
-                                             r" and at least one column, got shape \(2, 2\)"):
-            self.make(hashes=hashes, inner=np.full((2, 2), 10.0))
+    def test_is_the_code_build_dif_code_makes(self):
+        code = self.make()
+        built = build_dif_code(9, FIG2, full(10.0), num_messages=4, hash_range=2, seed=1)
+        assert code.typ == built.typ and np.array_equal(code.inner, built.inner)
+        assert np.array_equal(code.inner, build_inner_code(9, 2, 10.0, 1))
 
-    @pytest.mark.parametrize("shape", [(2,), (2, 0), (1, 2, 2)])
-    def test_inner_must_be_a_table(self, shape):
-        with pytest.raises(ValueError, match="^inner must be 2-D"):
-            self.make(inner=np.zeros(shape))
+    @pytest.mark.parametrize("peak", [0.5, 10.0, 37.0])
+    def test_typ_holds_the_pilot_laws(self, peak):
+        # a typ with a tenth of the pilot's laws could be passed in: every string was atypical
+        code = self.make(constraints=full(peak))
+        assert np.array_equal(code.typ.letter_laws, letter_laws(FIG2, code.constraints.peak))
 
-    def test_letter_laws_must_cover_a_block(self):
-        with pytest.raises(ValueError, match="^typ.letter_laws must have memory[+]1=3 entries,"
-                                             " got 2"):
-            self.make(typ=TypicalSetSpec(eps=0.2, letter_laws=[6.1, 3.1], tail_mass=1e-12))
+    def test_peak_past_max_mean_is_rejected_when_made(self):
+        # dif_encode used to raise numpy's bare "lam value too large" at the first pilot
+        with pytest.raises(ValueError, match="exceeds MAX_MEAN"):
+            self.make(constraints=PowerConstraints(1e300, 1e300))
+
+    @pytest.mark.parametrize("part", ["typ", "inner"])
+    def test_derived_parts_cannot_be_passed_in(self, part):
+        code = self.make()
+        with pytest.raises(ValueError, match=f"field {part} is declared with init=False"):
+            dataclasses.replace(code, **{part: getattr(code, part)})
+        with pytest.raises(TypeError, match=part):
+            self.make(**{part: getattr(code, part)})
 
     def test_fields_are_stored_as_int_and_float(self):
-        code = self.make(n=np.int64(9), inner=[[10, 0, 0], [0, 10, 0]])
+        code = self.make(n=np.int64(9))
         assert type(code.n) is int and code.n == 9
         assert code.inner.dtype == float and code.inner.shape == (2, 3)
 
@@ -957,7 +978,7 @@ class TestHashLayout:
     little-endian) over the index (16 bytes), the row and column counts
     (8 bytes each) and the blocks as C-ordered little-endian uint64."""
 
-    FAMILY = HashFamily(master_seed=-12345, num_messages=2**130, hash_range=2**127)
+    FAMILY = HashFamily(master_seed=-12345, num_messages=2**128 - 1, hash_range=2**127)
 
     @staticmethod
     def independent(index, blocks, family):

@@ -70,8 +70,8 @@ SWEEP = {
     **{("build_dif_code", p): lambda: dict(n=9, params=FIG2, constraints=POWER, num_messages=4,
                                            hash_range=2, seed=1)
        for p in ("n", "num_messages", "hash_range")},
-    ("DIFCode", "n"): lambda: dict(n=9, peak=10.0, typ=code().typ, hashes=code().hashes,
-                                   inner=code().inner, params=FIG2),
+    ("DIFCode", "n"): lambda: dict(n=9, params=FIG2, constraints=POWER, hashes=code().hashes,
+                                   eps=0.2, tail_mass=1e-12),
     ("dif_encode", "index"): lambda: dict(index=0, code=code(), seed=1),
     ("dif_identify", "index"): lambda: dict(index=0, y=np.zeros(code().output_length, dtype=int),
                                             code=code()),
