@@ -12,8 +12,7 @@ by Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +82,8 @@ class DICodebook:
 
     ``packing_radius`` is half the guaranteed minimum sqrt-domain distance.
     ``threshold`` starts at +inf (accept everything); run
-    :func:`calibrate_threshold` before measuring errors.
+    :func:`calibrate_threshold` before measuring errors.  ``intensities``, the
+    (N, n + memory) effective intensities of the codewords, is built when the book is made.
     """
 
     codewords: np.ndarray
@@ -93,12 +93,21 @@ class DICodebook:
     type1_budget: float
     type2_budget: float
     threshold: float = math.inf
+    intensities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.codewords = np.asarray(self.codewords, dtype=float)
         shape = self.codewords.shape
         if len(shape) != 2 or 0 in shape:
             raise ValueError(f"codewords must be a nonempty 2-D array, got shape {shape}")
+        if not 0 <= self.packing_radius < math.inf:  # also false for NaN
+            raise ValueError(f"packing_radius must lie in [0, inf), got {self.packing_radius}")
+        self.intensities = np.stack([effective_intensity(x, self.params) for x in self.codewords])
+
+    def __setattr__(self, name, value):
+        if name == "threshold" and value != value:  # NaN, on every assignment
+            raise ValueError("threshold must not be NaN")
+        super().__setattr__(name, value)
 
     @property
     def num_codewords(self) -> int:
@@ -108,22 +117,13 @@ class DICodebook:
     def block_length(self) -> int:
         return self.codewords.shape[1]
 
-    @cached_property
-    def intensities(self) -> np.ndarray:
-        """Per-codeword effective intensities, shape (N, n + memory)."""
-        return np.stack([effective_intensity(x, self.params) for x in self.codewords])
-
-    @cached_property
-    def sqrt_codewords(self) -> np.ndarray:
-        return np.sqrt(self.intensities[:, : self.block_length])
-
 
 def validate_codebook(book: DICodebook) -> None:
     """Raise unless the codebook meets its structural invariants."""
     for i, x in enumerate(book.codewords):
         if not validate_power(x, book.constraints):
             raise ValueError(f"codeword {i} violates the power constraints")
-    s = book.sqrt_codewords
+    s = np.sqrt(book.intensities[:, : book.block_length])
     needed = 2.0 * book.packing_radius
     for i in range(book.num_codewords):
         d = np.linalg.norm(s[i + 1 :] - s[i], axis=1)
@@ -262,8 +262,8 @@ def _sender_statistics(book: DICodebook, trials: int, seed: int, label: str, i: 
     """Draw ``trials`` outputs of codeword ``i`` from ``spawn(seed, label, i)``; yield their
     statistics against decoder ``i``, then each decoder of ``tested``, one array at a time."""
     n, intensities = book.block_length, book.intensities
-    outputs = spawn(seed, label, i).poisson(intensities[i], size=(trials, n + book.params.memory))
-    counts = outputs[:, :n].astype(float) if tested else outputs  # float once for many scores
+    counts = spawn(seed, label, i).poisson(intensities[i], size=(trials, n + book.params.memory))
+    counts = counts[:, :n].astype(float)  # float once for every score
     for j in (i, *tested):
         yield _statistics(counts, intensities[j], n)
 
@@ -305,15 +305,8 @@ def calibrate_threshold(
         own = next(_sender_statistics(book, trials, seed, "calibrate", i))
         return np.partition(own, idx)[idx]
 
-    book.intensities  # computed here, not once per thread
     book.threshold = float(max(sender_map(order_statistic, range(book.num_codewords))))
     return book.threshold
-
-
-def _ordered_pair(k: int, count: int) -> tuple[int, int]:
-    """The k-th ordered pair (i, j), i != j, in row-major order over count codewords."""
-    i, r = divmod(k, count - 1)
-    return i, r + (r >= i)
 
 
 def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
@@ -332,7 +325,9 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
     else:
         rng = spawn(seed, "pairs")
         picks = rng.choice(count * (count - 1), size=PAIR_SAMPLE_FACTOR * count, replace=False)
-        pairs = [_ordered_pair(int(k), count) for k in sorted(picks)]
+        # the k-th ordered pair (i, j), i != j, in row-major order
+        i, r = np.divmod(np.sort(picks), count - 1)
+        pairs = list(zip(i.tolist(), (r + (r >= i)).tolist()))
         sampling = "subsampled"
 
     def decide(i, tested):
@@ -341,7 +336,6 @@ def estimate_errors(book: DICodebook, trials: int, seed: int) -> SimResult:
                 [int((s <= book.threshold).sum()) for s in stats],
                 {})
 
-    book.intensities  # computed here, not once per thread
     return tally(sender_map, range(count), pairs, trials, seed, decide,
                  {"pair_sampling": sampling, "pairs": len(pairs), "threshold": book.threshold})
 

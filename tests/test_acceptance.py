@@ -110,7 +110,7 @@ def test_05_codebook_structural_suite():
         book = construct_codebook(n, FIG2_DARK, power, 0.1, 0.1, max_codewords=16, seed=500 + n)
         validate_codebook(book)  # power constraints + pairwise 2r separation
         ball = power_ball_radius(n, FIG2_DARK, power, FIG2_DARK.memory)
-        energies = (book.sqrt_codewords**2).sum(axis=1)
+        energies = (np.sqrt(book.intensities[:, :n])**2).sum(axis=1)
         assert np.all(energies <= ball**2 + 1e-9)
         assert math.log2(book.num_codewords) <= packing_log_count_bound(n, ball,
                                                                         book.packing_radius)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from dipc import (
     validate_codebook,
 )
 from dipc import di_code
-from dipc.di_code import _ordered_pair, _statistics
+from dipc.di_code import _statistics
 from dipc.seeding import spawn
 
 FIG2 = ChannelParams(memory=2, hit_probs=[0.6, 0.3, 0.1], slot_duration=1.0, dark_rate=0.1)
@@ -59,10 +60,14 @@ class TestMemoryScaling:
             memory_scaling(64, -0.1)
 
 
+def sqrt_codewords(book: DICodebook) -> np.ndarray:
+    """The square-root intensity coordinates of the codewords' first n slots."""
+    return np.sqrt(book.intensities[:, : book.block_length])
+
+
 def sqrt_codeword(x, params=FIG2) -> np.ndarray:
-    """The square-root intensity coordinates of one codeword, as
-    :attr:`DICodebook.sqrt_codewords` gives them."""
-    return DICodebook(np.array([x], dtype=float), params, POWER, 0.0, 0.1, 0.1).sqrt_codewords[0]
+    """The square-root intensity coordinates of one codeword."""
+    return sqrt_codewords(DICodebook(np.array([x], dtype=float), params, POWER, 0.0, 0.1, 0.1))[0]
 
 
 class TestCodebookShape:
@@ -79,8 +84,65 @@ class TestCodebookShape:
         assert book.codewords.dtype == np.float64
 
 
+class TestCodebookFields:
+    """The checks and the intensity table a book gets when it is made."""
+
+    def test_nan_threshold_rejected_when_made(self):
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            DICodebook([[1.0, 2.0]], FIG2, POWER, 0.1, 0.1, 0.1, math.nan)
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            dataclasses.replace(small_book(max_codewords=2), threshold=math.nan)
+
+    def test_nan_threshold_assignment_rejected(self):
+        # a NaN threshold rejected every message: all estimates read 0, and the
+        # saved file failed to load
+        book = construct_codebook(8, FIG2, POWER, 0.1, 0.1, max_codewords=3, seed=1)
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            book.threshold = float("nan")
+        assert book.threshold == math.inf
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf])
+    def test_infinite_thresholds_stay_valid(self, threshold):
+        book = DICodebook([[1.0, 2.0]], FIG2, POWER, 0.1, 0.1, 0.1, threshold)
+        book.threshold = -threshold
+        assert book.threshold == -threshold
+
+    @pytest.mark.parametrize("radius", [math.nan, -0.1, math.inf])
+    def test_packing_radius_must_lie_in_zero_to_infinity(self, radius):
+        # a NaN radius failed every distance test, so identical codewords validated
+        x = np.full(10, 4.0)
+        with pytest.raises(ValueError, match=r"packing_radius must lie in \[0, inf\)"):
+            DICodebook(np.stack([x, x]), FIG2, POWER, radius, 0.1, 0.1)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan])
+    def test_negative_rate_rejected_when_made(self, rate):
+        with pytest.raises(ValueError, match="release rates must be nonnegative"):
+            DICodebook([[1.0, rate]], FIG2, POWER, 0.1, 0.1, 0.1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_table_built_once_when_made(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        codewords = small_book(max_codewords=4).codewords
+        calls = []
+        original = di_code.effective_intensity
+        monkeypatch.setattr(di_code, "effective_intensity",
+                            lambda *args: calls.append(args) or original(*args))
+        book = DICodebook(codewords, FIG2, POWER, 0.1, 0.1, 0.1)
+        assert len(calls) == book.num_codewords
+        calibrate_threshold(book, 1000, seed=3, target=0.1)
+        estimate_errors(book, 100, seed=4)
+        assert len(calls) == book.num_codewords  # the readers build nothing
+
+    def test_replace_builds_its_own_equal_table(self):
+        book = small_book()
+        copy = dataclasses.replace(book)
+        assert copy.intensities is not book.intensities
+        assert np.array_equal(copy.intensities, book.intensities)
+
+
 class TestReparameterize:
-    """The sqrt-domain map of :attr:`DICodebook.sqrt_codewords`."""
+    """The sqrt-domain map of the codewords' first n intensity slots."""
 
     def test_zero_input_sits_at_dark_floor(self):
         s = sqrt_codeword(np.zeros(4))
@@ -173,7 +235,7 @@ class TestConstruction:
         book = small_book(n=24, max_codewords=12)
         validate_codebook(book)  # power + pairwise separation
         ball = power_ball_radius(book.block_length, FIG2, POWER, FIG2.memory)
-        energies = (book.sqrt_codewords**2).sum(axis=1)
+        energies = (sqrt_codewords(book)**2).sum(axis=1)
         assert np.all(energies <= ball**2 + 1e-9)
         assert math.log2(book.num_codewords) <= packing_log_count_bound(
             book.block_length, ball, book.packing_radius)
@@ -185,7 +247,7 @@ class TestConstruction:
         book = construct_codebook(2, params, c, 0.1, 0.1, max_codewords=2, levels=(0.0, 100.0),
                                   seed=1)
         assert book.num_codewords == 2
-        s = book.sqrt_codewords
+        s = sqrt_codewords(book)
         assert np.linalg.norm(s[0] - s[1]) >= 2 * book.packing_radius
 
     def test_average_budget_rescaling(self):
@@ -574,22 +636,39 @@ def enumerated_pairs(count):
 
 
 class TestPairSampling:
-    @pytest.mark.parametrize("count", [2, 3, 65, 96, 130])
-    def test_index_mapping_matches_enumeration(self, count):
-        pairs = enumerated_pairs(count)
-        assert [_ordered_pair(k, count) for k in range(len(pairs))] == pairs
+    SEED = 12
 
-    def test_subsampled_pairs_match_enumerated_draw(self):
-        count, seed = 65, 12
+    @staticmethod
+    def pairs_of(count):
+        """``estimate_errors``'s Type II pairs on a random ``count``-codeword book."""
         rng = np.random.default_rng(0)
         book = DICodebook(
             codewords=rng.uniform(0.0, 10.0, size=(count, 4)),
             params=FIG2, constraints=POWER, packing_radius=0.1,
             type1_budget=0.1, type2_budget=0.1, threshold=2.0,
         )
-        res = estimate_errors(book, 1, seed=seed)
+        return estimate_errors(book, 1, seed=TestPairSampling.SEED)
+
+    @pytest.mark.parametrize("count", [2, 3, 65, 96, 130])
+    def test_index_mapping_matches_enumeration(self, count):
+        # up to 64 codewords every ordered pair is measured; beyond, the sorted
+        # picks of the "pairs" stream index the row-major enumeration
         all_pairs = enumerated_pairs(count)
-        picks = spawn(seed, "pairs").choice(len(all_pairs), size=64 * count, replace=False)
+        if count <= 64:
+            expected = all_pairs
+        else:
+            picks = spawn(self.SEED, "pairs").choice(len(all_pairs), size=64 * count,
+                                                     replace=False)
+            expected = [all_pairs[k] for k in sorted(picks)]
+        res = self.pairs_of(count)
+        assert list(res.type2) == expected
+        assert all(type(i) is int and type(j) is int for i, j in res.type2)
+
+    def test_subsampled_pairs_match_enumerated_draw(self):
+        count = 65
+        res = self.pairs_of(count)
+        all_pairs = enumerated_pairs(count)
+        picks = spawn(self.SEED, "pairs").choice(len(all_pairs), size=64 * count, replace=False)
         assert list(res.type2) == [all_pairs[k] for k in sorted(picks)]
         assert res.extras["pair_sampling"] == "subsampled"
 
