@@ -36,6 +36,12 @@ def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
     return int(value)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: a made record cannot drift from what it derived."""
+    array.flags.writeable = False
+    return array
+
+
 class _ByValue:
     """Equality and hash of a frozen dataclass over its fields, an array as a tuple."""
 
@@ -53,7 +59,8 @@ class _ByValue:
 class ChannelParams(_ByValue):
     """Channel description: memory, hit probabilities, slot length, dark rate.
 
-    ``hit_probs`` has ``memory + 1`` entries, each in [0, 1], summing to one.
+    ``hit_probs`` has ``memory + 1`` entries, each in [0, 1], summing to one; it is
+    stored as a read-only copy.
     """
 
     memory: int
@@ -62,7 +69,7 @@ class ChannelParams(_ByValue):
     dark_rate: float = 0.0
 
     def __post_init__(self):
-        probs = np.asarray(self.hit_probs, dtype=float)
+        probs = _read_only(np.array(self.hit_probs, dtype=float))
         object.__setattr__(self, "hit_probs", probs)
         object.__setattr__(self, "memory", _check_int("memory", self.memory, 0))
         if probs.ndim != 1 or probs.size != self.memory + 1:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, _check_int, as_output, check_index,
-                      effective_intensity, validate_power)
+from .channel import (ChannelParams, PowerConstraints, _check_int, _read_only, as_output,
+                      check_index, effective_intensity, validate_power)
 from .measures import min_distance_radius
 from .results import SimResult, sender_map, tally
 from .seeding import spawn
@@ -84,6 +84,7 @@ class DICodebook:
     ``threshold`` starts at +inf (accept everything); run
     :func:`calibrate_threshold` before measuring errors.  ``intensities``, the
     (N, n + memory) effective intensities of the codewords, is built when the book is made.
+    Both arrays are read-only, ``codewords`` a copy; once made, only ``threshold`` is assigned.
     """
 
     codewords: np.ndarray
@@ -96,17 +97,20 @@ class DICodebook:
     intensities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.codewords = np.asarray(self.codewords, dtype=float)
+        self.codewords = _read_only(np.array(self.codewords, dtype=float))
         shape = self.codewords.shape
         if len(shape) != 2 or 0 in shape:
             raise ValueError(f"codewords must be a nonempty 2-D array, got shape {shape}")
         if not 0 <= self.packing_radius < math.inf:  # also false for NaN
             raise ValueError(f"packing_radius must lie in [0, inf), got {self.packing_radius}")
-        self.intensities = np.stack([effective_intensity(x, self.params) for x in self.codewords])
+        self.intensities = _read_only(
+            np.stack([effective_intensity(x, self.params) for x in self.codewords]))
 
     def __setattr__(self, name, value):
         if name == "threshold" and value != value:  # NaN, on every assignment
             raise ValueError("threshold must not be NaN")
+        if name != "threshold" and "intensities" in vars(self):  # the table is the last field set
+            raise AttributeError(f"cannot assign {name!r} of a made DICodebook, only threshold")
         super().__setattr__(name, value)
 
     @property

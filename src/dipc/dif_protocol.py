@@ -27,15 +27,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, _ByValue, _check_int, as_counts,
-                      as_output, check_index, effective_intensity)
+from .channel import (ChannelParams, PowerConstraints, _ByValue, _check_int, _read_only,
+                      as_counts, as_output, check_index, effective_intensity)
 from .errors import ConstructionError
-from .measures import (DEFAULT_TAIL_MASS, _check_poisson, poisson_entropy_exact,
-                       poisson_pmf_truncated)
+from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
 from .seeding import _int_bytes, spawn
 
@@ -65,32 +63,29 @@ def blockize(y, memory: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TypicalSetSpec(_ByValue):
-    """Letter-typicality test parameters for the pilot's block law."""
+    """Letter-typicality test parameters for the pilot's block law, ``letter_laws`` a
+    read-only copy.  ``_table``, built when the spec is made and outside its value,
+    holds per position the cap y_max+1 and its first bucket, and per bucket (counts
+    0..y_max, then one overflow bucket) the pmf, the slack eps/(y_max+1) and pmf*(1-pmf)."""
 
     eps: float
     letter_laws: np.ndarray
     tail_mass: float
 
     def __post_init__(self):
-        laws = np.asarray(self.letter_laws, dtype=float)
+        laws = _read_only(np.array(self.letter_laws, dtype=float))
         object.__setattr__(self, "letter_laws", laws)
         if not self.eps > 0:  # NaN would pass every string; +inf filters nothing
             raise ValueError("typicality slack must be positive")
         if laws.ndim != 1 or laws.size == 0:
             raise ValueError(f"letter_laws must be a nonempty 1-D array, got shape {laws.shape}")
-        _check_poisson(laws, self.tail_mass)  # _table is built on first use
-
-    @cached_property
-    def _table(self):
-        """Per position: the cap y_max+1 and its first bucket.  Per bucket
-        (counts 0..y_max, then one overflow bucket): the pmf, the base
-        tolerance eps*pmf + eps/(y_max+1) and the variance pmf*(1-pmf)."""
-        dists = [poisson_pmf_truncated(float(law), self.tail_mass) for law in self.letter_laws]
+        dists = [poisson_pmf_truncated(float(law), self.tail_mass) for law in laws]
         caps = np.array([dist.support[-1] + 1 for dist in dists])
         offsets = np.concatenate([[0], np.cumsum(caps + 1)[:-1]])
         pmf = np.concatenate([np.append(dist.mass, dist.tail_bound) for dist in dists])
-        base = self.eps * pmf + self.eps / np.repeat(caps, caps + 1)
-        return caps, offsets, pmf, base, pmf * (1.0 - pmf)
+        # typical_test adds eps*pmf itself: at eps=inf a zero pmf would make it NaN here
+        slack = self.eps / np.repeat(caps, caps + 1)
+        object.__setattr__(self, "_table", (caps, offsets, pmf, slack, pmf * (1.0 - pmf)))
 
 
 def typical_test(blocks, spec: TypicalSetSpec) -> bool:
@@ -112,10 +107,10 @@ def typical_test(blocks, spec: TypicalSetSpec) -> bool:
         raise ValueError("need at least one block")
     if not math.isfinite(spec.eps):
         return True
-    caps, offsets, pmf, base, variance = spec._table
+    caps, offsets, pmf, slack, variance = spec._table
     values = np.minimum(blocks, caps)
     freq = np.bincount((values + offsets).ravel(), minlength=pmf.size) / count
-    tolerance = base + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count)
+    tolerance = spec.eps * pmf + slack + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count)
     return not np.any(np.abs(freq - pmf) > tolerance)
 
 
@@ -134,7 +129,8 @@ class HashFamily:
 
     Each message index (hashed in 16 bytes: num_messages is below 2**128) keys a
     pseudorandom function from block strings to [1, hash_range]; both parties
-    evaluate it on the shared phase-1 string.
+    evaluate it on the shared phase-1 string.  ``_keyed``, BLAKE2b keyed with the
+    master seed and copied for every hash, is built when the family is made.
     """
 
     master_seed: int
@@ -146,12 +142,8 @@ class HashFamily:
             object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, 2**128))
         if self.hash_range > self.num_messages:
             raise ValueError("need 1 <= hash_range <= num_messages")
-        _int_bytes(self.master_seed)  # rejects the seeds spawn rejects
-
-    @cached_property
-    def _keyed(self):
-        """BLAKE2b keyed with the master seed, copied for every hash."""
-        return hashlib.blake2b(digest_size=16, key=_int_bytes(self.master_seed))
+        key = _int_bytes(self.master_seed)  # rejects the seeds spawn rejects
+        object.__setattr__(self, "_keyed", hashlib.blake2b(digest_size=16, key=key))
 
 
 def hash_message(index: int, blocks, family: HashFamily) -> int:
@@ -242,9 +234,16 @@ def _ml_decode(y_window: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> in
 @dataclass(frozen=True, eq=False)
 class DIFCode:
     """The composed feedback code over one channel, a record of its parameters.
-    The pilot and inner code ``inner`` pulse at ``constraints.peak``; they and the
-    typicality filter ``typ`` are derived when the code is made.  The pilot needs
-    n > memory, and with the heaviest inner codeword must fit the average budget."""
+    The pilot needs n > memory, and with the heaviest inner codeword must fit
+    the average budget.  Derived when the code is made, the arrays read-only:
+    - ``typ``: the pilot's typicality filter;
+    - ``inner``: the inner code, one row per hash value, pulsing at ``constraints.peak``;
+    - ``pilot``: the phase-1 input, (peak, 0, ..., 0) blocks of length memory+1
+      over the n slots, a trailing partial block truncated;
+    - ``phase1_intensity``: the intensity of the first n slots, which only the pilot reaches;
+    - ``phase2_intensities``: per hash value, the intensity of slots n+1 .. m+K under the
+      pilot's last memory slots followed by the codeword, shape (M, length + memory);
+    - ``phase2_table``: :func:`_ml_table` of ``phase2_intensities``."""
 
     n: int
     params: ChannelParams
@@ -254,46 +253,33 @@ class DIFCode:
     tail_mass: float
     typ: TypicalSetSpec = field(init=False)
     inner: np.ndarray = field(init=False)
+    pilot: np.ndarray = field(init=False, repr=False)
+    phase1_intensity: np.ndarray = field(init=False, repr=False)
+    phase2_intensities: np.ndarray = field(init=False, repr=False)
+    phase2_table: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = _check_int("n", self.n, self.params.memory + 1, 2**63)
-        object.__setattr__(self, "n", n)
-        peak, rows = self.constraints.peak, self.hashes.hash_range
-        if not dif_power_fits(n, self.params.memory, rows, self.constraints):
+        peak, rows, memory = self.constraints.peak, self.hashes.hash_range, self.params.memory
+        if not dif_power_fits(n, memory, rows, self.constraints):
             raise ValueError("the pilot plus the heaviest inner codeword exceed the average budget")
-        object.__setattr__(self, "typ", TypicalSetSpec(
-            self.eps, letter_laws(self.params, peak), self.tail_mass))
-        object.__setattr__(self, "inner", build_inner_code(n, rows, peak, self.hashes.master_seed))
-
-    @cached_property
-    def pilot(self) -> np.ndarray:
-        """Phase-1 input: (peak, 0, ..., 0) blocks of length memory+1 over
-        the n slots; a trailing partial block is truncated."""
-        block = np.zeros(self.params.memory + 1)
-        block[0] = self.constraints.peak
-        return np.tile(block, math.ceil(self.n / block.size))[: self.n]
+        typ = TypicalSetSpec(self.eps, letter_laws(self.params, peak), self.tail_mass)
+        inner = build_inner_code(n, rows, peak, self.hashes.master_seed)
+        block = np.zeros(memory + 1)
+        block[0] = peak
+        pilot = np.tile(block, math.ceil(n / block.size))[:n]
+        phase1 = effective_intensity(pilot, self.params)[:n]
+        phase2 = np.stack([effective_intensity(np.concatenate([pilot[n - memory :], c]),
+                                               self.params)[memory:] for c in inner])
+        table = _ml_table(phase2)
+        for array in (inner, pilot, phase1, phase2, *table):
+            _read_only(array)
+        vars(self).update(n=n, typ=typ, inner=inner, pilot=pilot, phase1_intensity=phase1,
+                          phase2_intensities=phase2, phase2_table=table)  # frozen: set once, here
 
     @property
     def output_length(self) -> int:
         return self.n + self.inner.shape[1] + self.params.memory
-
-    @cached_property
-    def phase1_intensity(self) -> np.ndarray:
-        """Intensity of the first n slots (pilot only reaches them)."""
-        return effective_intensity(self.pilot, self.params)[: self.n]
-
-    @cached_property
-    def phase2_intensities(self) -> np.ndarray:
-        """Per hash value, intensity of slots n+1 .. m+K under the pilot's
-        last memory slots followed by the codeword.  Shape (M, length + memory)."""
-        tail = self.pilot[self.n - self.params.memory :]
-        return np.stack([effective_intensity(np.concatenate([tail, c]), self.params)[tail.size :]
-                         for c in self.inner])
-
-    @cached_property
-    def phase2_table(self):
-        """:func:`_ml_table` of :attr:`phase2_intensities`."""
-        return _ml_table(self.phase2_intensities)
 
 
 def build_dif_code(

@@ -68,6 +68,17 @@ class TestChannelParams:
             assert params != other and other not in {params: 1}
         assert params != (2, (0.6, 0.3, 0.1), 1.0, 0.0)
 
+    def test_hit_probs_are_a_read_only_copy(self):
+        # the caller's array was stored: rewriting it after validation gave
+        # negative Poisson means
+        arr = np.array([0.6, 0.3, 0.1])
+        params = ChannelParams(memory=2, hit_probs=arr)
+        arr[:] = [-5, 5, 1]
+        assert params.hit_probs.tolist() == [0.6, 0.3, 0.1]
+        assert effective_intensity([1, 0, 0], params).tolist() == [0.6, 0.3, 0.1, 0.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            params.hit_probs[0] = -5.0
+
     def test_asdict_unchanged(self):
         params = ChannelParams(1, [0.5, 0.5], dark_rate=0.1)
         data = dataclasses.asdict(params)

@@ -16,6 +16,7 @@ from dipc import (
     construct_codebook,
     decode_identify,
     di_rate,
+    effective_intensity,
     estimate_errors,
     memory_scaling,
     min_distance_radius,
@@ -133,6 +134,30 @@ class TestCodebookFields:
         calibrate_threshold(book, 1000, seed=3, target=0.1)
         estimate_errors(book, 100, seed=4)
         assert len(calls) == book.num_codewords  # the readers build nothing
+
+    def test_codewords_are_a_read_only_copy(self):
+        # the caller's rows were stored: rewriting them left the table behind
+        rows = small_book(max_codewords=3).codewords.copy()
+        book = DICodebook(rows, FIG2, POWER, 0.1, 0.1, 0.1)
+        rows[0] = 0.0
+        assert book.codewords is not rows and not np.array_equal(book.codewords, rows)
+        assert np.array_equal(book.intensities,
+                              np.stack([effective_intensity(x, FIG2) for x in book.codewords]))
+        for array in (book.codewords, book.intensities):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["codewords", "params", "constraints", "packing_radius",
+                                      "type1_budget", "type2_budget", "intensities"])
+    def test_only_the_threshold_is_assigned_once_made(self, name):
+        # reversed codewords used to be stored beside the unchanged table
+        book = small_book(max_codewords=3)
+        value = getattr(book, name)
+        with pytest.raises(AttributeError, match=f"cannot assign '{name}'"):
+            setattr(book, name, value[::-1].copy() if isinstance(value, np.ndarray) else value)
+        assert getattr(book, name) is value
+        book.threshold = 1.0
+        assert book.threshold == 1.0
 
     def test_replace_builds_its_own_equal_table(self):
         book = small_book()

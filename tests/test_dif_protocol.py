@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dipc import (
     typical_log_size,
     typical_test,
 )
+from dipc import dif_protocol
 from dipc.dif_protocol import (TYPICALITY_GUARD_SIGMAS, DIFCode, TypicalSetSpec, dif_power_fits,
                                inner_length, inner_patterns_cover, inner_pulse_bound,
                                letter_laws, _ml_decode, _ml_table)
@@ -210,15 +212,17 @@ class TestTypicality:
         with pytest.raises(ValueError, match=r"^Poisson mean 120000\.1 exceeds MAX_MEAN"):
             build_dif_code(30, FIG2, full(2e5), num_messages=8, hash_range=4)
 
-    def test_infinite_slack_on_a_silent_position_builds_without_a_table(self):
-        spec = TypicalSetSpec(eps=math.inf, letter_laws=[0.0, 3.0], tail_mass=1e-12)
+    def test_infinite_slack_on_a_silent_position_builds_without_a_warning(self):
+        # a tolerance table of eps*pmf at eps=inf held inf * 0 = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = TypicalSetSpec(eps=math.inf, letter_laws=[0.0, 3.0], tail_mass=1e-12)
         assert typical_test(np.zeros((2, 2), dtype=int), spec)
-        assert "_table" not in vars(spec)
 
     def test_equality_and_hash_by_value(self):
         spec = TypicalSetSpec(0.2, [6.1, 3.1, 1.1], 1e-12)
         same = TypicalSetSpec(0.2, np.array([6.1, 3.1, 1.1]), 1e-12)
-        same._table  # a computed table is not part of the value
+        assert same._table is not spec._table  # each spec's own table, not part of its value
         assert spec == same and hash(spec) == hash(same)
         assert spec in [same] and {spec: 1}[same] == 1
         for other in (TypicalSetSpec(0.3, [6.1, 3.1, 1.1], 1e-12),
@@ -513,15 +517,16 @@ class TestPhase2Window:
             self.direct_code(np.random.default_rng(n), n, 5)
 
     def test_memory_does_not_grow_with_the_pilot(self):
-        code = build_dif_code(2**18, FIG2, full(5.0), num_messages=16, hash_range=16, seed=2)
-        code.pilot  # the pilot is phase 1's; only the table's build is measured
+        # the pilot and phase 1's intensities are n floats each; the phase-2
+        # table, built from the pilot's last memory slots, adds under 1 MiB
+        n = 2**18
         tracemalloc.start()
         try:
-            code.phase2_intensities
+            code = build_dif_code(n, FIG2, full(5.0), num_messages=16, hash_range=16, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < code.pilot.base.nbytes + 8 * (n + FIG2.memory) + 2**20
 
 
 class TestDIFCodeChecks:
@@ -553,7 +558,8 @@ class TestDIFCodeChecks:
         with pytest.raises(ValueError, match="exceeds MAX_MEAN"):
             self.make(constraints=PowerConstraints(1e300, 1e300))
 
-    @pytest.mark.parametrize("part", ["typ", "inner"])
+    @pytest.mark.parametrize("part", ["typ", "inner", "pilot", "phase1_intensity",
+                                      "phase2_intensities", "phase2_table"])
     def test_derived_parts_cannot_be_passed_in(self, part):
         code = self.make()
         with pytest.raises(ValueError, match=f"field {part} is declared with init=False"):
@@ -565,6 +571,53 @@ class TestDIFCodeChecks:
         code = self.make(n=np.int64(9))
         assert type(code.n) is int and code.n == 9
         assert code.inner.dtype == float and code.inner.shape == (2, 3)
+
+
+class TestDerivedWhenMade:
+    """A DIF code builds its pilot, intensity tables, typicality table and hash
+    key when it is made, as read-only arrays; the protocol's readers build nothing."""
+
+    @staticmethod
+    def code():
+        return build_dif_code(64, FIG2, full(10.0), num_messages=8, hash_range=4, seed=2)
+
+    def test_tables_built_once_when_made(self, monkeypatch):
+        calls = dict.fromkeys(["effective_intensity", "poisson_pmf_truncated"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(dif_protocol, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(dif_protocol, name, counted)
+        code = self.code()
+        made = {"effective_intensity": 1 + 4, "poisson_pmf_truncated": FIG2.memory + 1}
+        assert calls == made
+        y, _ = dif_encode(3, code, seed=5)
+        dif_identify(3, y, code)
+        estimate_dif_errors(code, [(0, 1), (2, 3)], trials=20, seed=6)
+        estimate_inner_error(code, trials=20, seed=7)
+        assert calls == made  # the readers build nothing
+
+    def test_every_part_is_set_when_made(self):
+        code = self.code()
+        assert {f.name for f in dataclasses.fields(code)} <= set(vars(code))
+        assert "_table" in vars(code.typ) and "_keyed" in vars(code.hashes)
+
+    def test_derived_arrays_are_read_only(self):
+        code = self.code()
+        for array in (code.inner, code.pilot, code.phase1_intensity, code.phase2_intensities,
+                      *code.phase2_table, code.typ.letter_laws):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_letter_laws_are_a_read_only_copy(self):
+        # the caller's array was stored, and the table was built from whatever
+        # it held at the first typicality test
+        laws = np.array([6.1, 3.1, 1.1])
+        spec = TypicalSetSpec(0.2, laws, 1e-12)
+        laws[:] = 0.0
+        assert spec.letter_laws.tolist() == [6.1, 3.1, 1.1]
+        unaliased = TypicalSetSpec(0.2, [6.1, 3.1, 1.1], 1e-12)
+        assert np.array_equal(spec._table[2], unaliased._table[2])
 
 
 class TestTypeIIOracle:
@@ -927,13 +980,14 @@ class TestTypicalityEquivalence:
         # typical_test's tolerance, from the table, bit for bit the joined
         # per-position vectors at every count
         for spec, blocks in self.cases(eps, seed=int(eps * 100)):
-            caps, offsets, pmf, base, variance = spec._table
+            caps, offsets, pmf, slack, variance = spec._table
             pmfs = list(position_pmfs(spec))
             assert caps.tolist() == [y_max + 1 for y_max, _ in pmfs]
             assert offsets.tolist() == np.cumsum([0] + [m.size for _, m in pmfs])[:-1].tolist()
             assert np.array_equal(pmf, np.concatenate([m for _, m in pmfs]))
             count = blocks.shape[0]
-            tolerance = base + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count)
+            tolerance = (spec.eps * pmf + slack
+                         + TYPICALITY_GUARD_SIGMAS * np.sqrt(variance / count))
             assert np.array_equal(tolerance, per_position_tolerance(spec, count))
 
     def test_true_law_decisions_match_at_every_count(self):
@@ -965,7 +1019,7 @@ class TestCachedMLTable:
     def test_same_argmax_as_uncached_decode(self, params):
         code = build_dif_code(64, params, full(10.0), num_messages=8, hash_range=4, seed=2)
         table = code.phase2_table
-        assert table is code.phase2_table  # computed once per code
+        assert table is code.phase2_table  # built once, when the code is made
         np.testing.assert_array_equal(table[1], code.phase2_intensities.sum(axis=1))
         for t in range(300):
             rng = spawn(11, "ml", t)

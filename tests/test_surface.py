@@ -80,6 +80,23 @@ def test_kept_names_exist():
     assert KEPT <= set(_defined())
 
 
+# The one cached function: it defers importing numpy.random to the first stream.
+CACHED = {"seeding._seed_type"}
+
+
+def test_no_lazy_attributes():
+    # a record's derived values are built when it is made, so no attribute is
+    # first built on access and no record has two code paths
+    cached = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "cached_property" not in set(_references(path, tree)), path.name
+        cached.update(f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and any("cache" in ast.unparse(d) for d in node.decorator_list))
+    assert cached == CACHED
+
+
 # Defaulted parameters that no caller in the package, a demo or the benchmark
 # sets, kept because a user sets them.
 UNSET_KEPT = {"cli.main.argv"}  # the command line itself when None
