@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from .channel import ChannelParams, PowerConstraints
 from .di_code import memory_scaling, packing_log_count_bound, power_ball_radius
 from .dif_protocol import letter_entropy_bits, letter_laws
+from .errors import _check_real
 from .measures import min_distance_radius
 
 
 def di_capacity_bounds(kappa: float) -> tuple[float, float]:
     """Identification-capacity interval ((1-kappa)/4, (1+kappa)/2) for
     memory growing as n^kappa."""
-    if not 0 <= kappa < 1:
-        raise ValueError("memory exponent must lie in [0, 1)")
+    kappa = _check_real("kappa", kappa, 0, 1)
     return (1.0 - kappa) / 4.0, (1.0 + kappa) / 2.0
 
 
@@ -31,9 +31,7 @@ def dif_capacity_lower(params: ChannelParams, peak: float) -> tuple[float, float
     Poisson entropies of the per-position pilot laws p_k*peak*T_s + dark and
     ``asymptotic`` is 0.5*log2(2*pi*e*peak*T_s).
     """
-    if not peak > 0:  # also true for NaN
-        raise ValueError(f"asymptotic form needs a positive peak, got {peak!r}")
-    scale = peak * params.slot_duration
+    scale = _check_real("peak", peak, 0, ends="()") * params.slot_duration  # its log needs peak > 0
     exact = letter_entropy_bits(letter_laws(params, peak)) / (params.memory + 1)
     asymptotic = 0.5 * math.log2(2 * math.pi * math.e * scale)
     return float(exact), asymptotic

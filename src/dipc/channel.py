@@ -16,24 +16,17 @@ input slots produces n + K output slots (the tail flushes the memory).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .errors import _check_int, _check_real
 from .measures import _log_factorial
 from .seeding import spawn
 
 PROB_SUM_TOL = 1e-12
-
-
-def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
-    """``value`` as an int.  Raises ValueError, naming ``name``, unless it is a
-    Python or numpy integer (not a bool, not a float) in [low, high)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or not low <= value < high):
-        below = "" if high == math.inf else f" and below {high}"
-        raise ValueError(f"{name} must be an integer >= {low}{below}, got {value!r}")
-    return int(value)
+# _as_codeword's two scans, looked up once: it runs for every packing candidate
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -42,7 +35,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _ByValue:
+class _Record:
+    """Pickled and copied by a call of its constructor: a copy is checked and derived anew."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+class _ByValue(_Record):
     """Equality and hash of a frozen dataclass over its fields, an array as a tuple."""
 
     def _key(self):
@@ -80,30 +80,29 @@ class ChannelParams(_ByValue):
             raise ValueError("hit probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"hit probabilities must sum to 1, got {float(probs.sum())}")
-        if not 0 < self.slot_duration < math.inf:
-            raise ValueError("slot_duration must be positive")
-        if not 0 <= self.dark_rate < math.inf:
-            raise ValueError("dark_rate must be nonnegative")
+        duration = _check_real("slot_duration", self.slot_duration, 0, ends="()")
+        object.__setattr__(self, "slot_duration", duration)
+        object.__setattr__(self, "dark_rate", _check_real("dark_rate", self.dark_rate, 0))
 
 
 @dataclass(frozen=True)
-class PowerConstraints:
+class PowerConstraints(_Record):
     """Peak and average release-rate limits."""
 
     peak: float
     average: float
 
     def __post_init__(self):
-        if not (0 < self.peak < math.inf and 0 < self.average < math.inf):
-            raise ValueError("peak and average limits must be positive")
+        for name in ("peak", "average"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0, ends="()"))
 
 
 def _as_codeword(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("codeword must be a nonempty 1-D sequence of release rates")
-    if not x.min() >= 0:  # also false for NaN
-        raise ValueError("release rates must be nonnegative")
+    if not (_MIN(x) >= 0 and _MAX(x) < math.inf):  # NaN fails too
+        raise ValueError("release rates must be nonnegative and finite")
     return x
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, _check_int, _read_only, as_output,
+from .channel import (ChannelParams, PowerConstraints, _Record, _read_only, as_output,
                       check_index, effective_intensity, validate_power)
+from .errors import _check_int, _check_real
 from .measures import min_distance_radius
 from .results import SimResult, sender_map, tally
 from .seeding import spawn
@@ -38,9 +39,7 @@ def memory_scaling(n: int, kappa: float) -> int:
     Computed through exp/log, so values within 1e-9 of an integer are snapped
     before flooring (1024**0.3 evaluates to 7.999999999999998).
     """
-    n = _check_int("n", n, 2, 2**63)
-    if not 0 <= kappa < 1:
-        raise ValueError("memory exponent must lie in [0, 1)")
+    n, kappa = _check_int("n", n, 2, 2**63), _check_real("kappa", kappa, 0, 1)
     value = 2.0 ** (kappa * math.log2(n))
     nearest = round(value)
     if abs(value - nearest) < 1e-9:
@@ -69,15 +68,17 @@ def power_ball_radius(
 def packing_log_count_bound(n: int, ball_radius: float, packing_radius: float) -> float:
     """Sphere-packing ceiling on the codebook size, in bits: n * log2(2l/r)."""
     n = _check_int("n", n, 1, 2**63)
-    if not packing_radius > 0:
-        raise ValueError("packing radius must be positive")
-    if not packing_radius <= ball_radius:  # also true for NaN
-        raise ValueError(f"packing radius {packing_radius} exceeds ball radius {ball_radius}")
-    return n * math.log2(2.0 * ball_radius / packing_radius)
+    ball_radius = _check_real("ball_radius", ball_radius, 0, ends="()")
+    packing_radius = _check_real("packing_radius (at most ball_radius)", packing_radius, 0,
+                                 ball_radius, "(]")
+    ratio = 2.0 * ball_radius / packing_radius
+    if ratio == math.inf:  # 2l/r is past the float range, its log is not
+        return n * (1.0 + math.log2(ball_radius) - math.log2(packing_radius))
+    return n * math.log2(ratio)
 
 
 @dataclass(eq=False)
-class DICodebook:
+class DICodebook(_Record):
     """Codewords (a nonempty N x n array), their channel, and the threshold decision rule.
 
     ``packing_radius`` is half the guaranteed minimum sqrt-domain distance.
@@ -101,14 +102,14 @@ class DICodebook:
         shape = self.codewords.shape
         if len(shape) != 2 or 0 in shape:
             raise ValueError(f"codewords must be a nonempty 2-D array, got shape {shape}")
-        if not 0 <= self.packing_radius < math.inf:  # also false for NaN
-            raise ValueError(f"packing_radius must lie in [0, inf), got {self.packing_radius}")
+        for name, high in (("packing_radius", math.inf), ("type1_budget", 1), ("type2_budget", 1)):
+            setattr(self, name, _check_real(name, getattr(self, name), 0, high))
         self.intensities = _read_only(
             np.stack([effective_intensity(x, self.params) for x in self.codewords]))
 
     def __setattr__(self, name, value):
-        if name == "threshold" and value != value:  # NaN, on every assignment
-            raise ValueError("threshold must not be NaN")
+        if name == "threshold":  # on every assignment
+            value = _check_real("threshold", value, -math.inf, math.inf, "[]")
         if name != "threshold" and "intensities" in vars(self):  # the table is the last field set
             raise AttributeError(f"cannot assign {name!r} of a made DICodebook, only threshold")
         super().__setattr__(name, value)
@@ -168,25 +169,24 @@ def construct_codebook(
     level multiset, so all codewords share one own-statistic scale and a
     single decoder threshold calibrates uniformly.  Candidates are rescaled
     onto the average-power budget when it binds, and accepted when they keep
-    the minimum pairwise distance.  ``separation_scale`` (at least 1)
-    multiplies that distance; values above 1 trade codebook size for decoder
-    margin.  The first candidate has nothing to keep apart from, so a book
-    holds at least one codeword however tight the budget.  Construction
-    stops at ``max_codewords`` or after :data:`STOP_REJECTIONS_PER_WORD`
-    times the current size of consecutive rejections.  Deterministic in
-    ``seed``.
+    the minimum pairwise distance 2r of :func:`min_distance_radius`, which the
+    budgets require but do not guarantee: a book packed at it can miss them,
+    the Type II budget on short blocks.  ``separation_scale`` multiplies that
+    distance; values above 1 trade codebook size for decoder margin.  The
+    first candidate has nothing to keep apart from, so a book holds at least
+    one codeword however tight the budget.  Construction stops at
+    ``max_codewords`` or after :data:`STOP_REJECTIONS_PER_WORD` times the
+    current size of consecutive rejections.  Deterministic in ``seed``.
     """
     n = _check_int("n", n, 1, 2**63)
     radius = min_distance_radius(type1_budget, type2_budget)
-    needed = 2.0 * radius * separation_scale
+    needed = 2.0 * radius * _check_real("separation_scale", separation_scale, 1)
     if levels is None:
         levels = (0.0, constraints.peak / 2.0, constraints.peak)
     levels = np.sort(np.asarray(levels, dtype=float))
     if levels.size == 0 or not np.all((levels >= 0) & (levels <= constraints.peak)):
         raise ValueError("level alphabet must be nonempty and lie in [0, peak]")
     max_codewords = _check_int("max_codewords", max_codewords, 1, 2**63)
-    if not separation_scale >= 1:
-        raise ValueError("separation_scale must be at least 1")
     counts = np.full(levels.size, n // levels.size)
     counts[: n % levels.size] += 1  # remainder on the lowest levels
     base = np.repeat(levels, counts)
@@ -296,9 +296,7 @@ def calibrate_threshold(
     for an independent verification run to confirm the budget with
     confidence.  Sets ``book.threshold`` and returns it.
     """
-    trials = _check_int("trials", trials, 1000, 2**63)
-    if not 0 <= target < math.inf:
-        raise ValueError("target error rate must be finite and nonnegative")
+    trials, target = _check_int("trials", trials, 1000, 2**63), _check_real("target", target, 0, 1)
 
     # Per message the smallest observed value leaving at most
     # floor(target * trials) samples above it, then the max over messages.
@@ -309,7 +307,7 @@ def calibrate_threshold(
         own = next(_sender_statistics(book, trials, seed, "calibrate", i))
         return np.partition(own, idx)[idx]
 
-    book.threshold = float(max(sender_map(order_statistic, range(book.num_codewords))))
+    book.threshold = max(sender_map(order_statistic, range(book.num_codewords)))
     return book.threshold
 
 

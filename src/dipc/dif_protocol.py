@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelParams, PowerConstraints, _ByValue, _check_int, _read_only,
-                      as_counts, as_output, check_index, effective_intensity)
-from .errors import ConstructionError
-from .measures import DEFAULT_TAIL_MASS, poisson_entropy_exact, poisson_pmf_truncated
+from .channel import (ChannelParams, PowerConstraints, _ByValue, _Record, _read_only, as_counts,
+                      as_output, check_index, effective_intensity)
+from .errors import ConstructionError, _check_int, _check_real
+from .measures import DEFAULT_TAIL_MASS, MAX_MEAN, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
 from .seeding import _int_bytes, spawn
 
@@ -44,12 +44,15 @@ TYPICALITY_GUARD_SIGMAS = 4.0
 
 def letter_laws(params: ChannelParams, peak: float) -> np.ndarray:
     """Poisson means seen at each in-block position during the pilot phase."""
-    return params.hit_probs * peak * params.slot_duration + params.dark_rate
+    laws = params.hit_probs * _check_real("peak", peak, 0) * params.slot_duration + params.dark_rate
+    if not laws.max() <= MAX_MEAN:  # so the error names peak, not a Poisson mean
+        raise ValueError(f"peak {peak!r}: a pilot law {laws.max()} exceeds MAX_MEAN={MAX_MEAN:g}")
+    return laws
 
 
 def letter_entropy_bits(laws, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
     """Summed Poisson entropies (bits) of the per-position pilot laws."""
-    return sum(poisson_entropy_exact(float(law), tail_mass) for law in laws)
+    return sum(poisson_entropy_exact(law, tail_mass) for law in laws)
 
 
 def blockize(y, memory: int) -> np.ndarray:
@@ -74,12 +77,11 @@ class TypicalSetSpec(_ByValue):
 
     def __post_init__(self):
         laws = _read_only(np.array(self.letter_laws, dtype=float))
-        object.__setattr__(self, "letter_laws", laws)
-        if not self.eps > 0:  # NaN would pass every string; +inf filters nothing
-            raise ValueError("typicality slack must be positive")
+        vars(self).update(eps=_check_real("eps", self.eps, 0, math.inf, "(]"), letter_laws=laws,
+                          tail_mass=_check_real("tail_mass", self.tail_mass, 0, 1, "()"))
         if laws.ndim != 1 or laws.size == 0:
             raise ValueError(f"letter_laws must be a nonempty 1-D array, got shape {laws.shape}")
-        dists = [poisson_pmf_truncated(float(law), self.tail_mass) for law in laws]
+        dists = [poisson_pmf_truncated(law, self.tail_mass) for law in laws]
         caps = np.array([dist.support[-1] + 1 for dist in dists])
         offsets = np.concatenate([[0], np.cumsum(caps + 1)[:-1]])
         pmf = np.concatenate([np.append(dist.mass, dist.tail_bound) for dist in dists])
@@ -124,7 +126,7 @@ def typical_log_size(n: int, spec: TypicalSetSpec) -> float:
 
 
 @dataclass(frozen=True)
-class HashFamily:
+class HashFamily(_Record):
     """Keyed hash family standing in for ideal uniform random maps.
 
     Each message index (hashed in 16 bytes: num_messages is below 2**128) keys a
@@ -182,8 +184,7 @@ def build_inner_code(n: int, hash_range: int, peak: float, seed: int) -> np.ndar
     ceil(sqrt(n)), one per row; falls back to unbalanced patterns if the
     balanced pool is too small."""
     n, hash_range = _check_int("n", n, 1, 2**63), _check_int("hash_range", hash_range, 1)
-    if not 0 < peak < math.inf:  # else NaN, negative or all-zero rows
-        raise ValueError(f"peak must be positive and finite, got {peak!r}")
+    peak = _check_real("peak", peak, 0, ends="()")  # else NaN, negative or all-zero rows
     length = inner_length(n)
     if not inner_patterns_cover(n, hash_range):
         raise ValueError(f"hash_range {hash_range} exceeds the 2^{length} binary patterns")
@@ -232,7 +233,7 @@ def _ml_decode(y_window: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> in
 
 
 @dataclass(frozen=True, eq=False)
-class DIFCode:
+class DIFCode(_Record):
     """The composed feedback code over one channel, a record of its parameters.
     The pilot needs n > memory, and with the heaviest inner codeword must fit
     the average budget.  Derived when the code is made, the arrays read-only:
@@ -274,8 +275,9 @@ class DIFCode:
         table = _ml_table(phase2)
         for array in (inner, pilot, phase1, phase2, *table):
             _read_only(array)
-        vars(self).update(n=n, typ=typ, inner=inner, pilot=pilot, phase1_intensity=phase1,
-                          phase2_intensities=phase2, phase2_table=table)  # frozen: set once, here
+        vars(self).update(n=n, eps=typ.eps, tail_mass=typ.tail_mass, typ=typ, inner=inner,
+                          pilot=pilot, phase1_intensity=phase1, phase2_intensities=phase2,
+                          phase2_table=table)  # frozen: set once, here
 
     @property
     def output_length(self) -> int:
@@ -404,11 +406,8 @@ def collision_bound_check(num_messages: int, hash_range: int, type2_budget: floa
     """
     num_messages = _check_int("num_messages", num_messages, 1)
     hash_range = _check_int("hash_range", hash_range, 1, 2**63)
-    if not 0 < type2_budget < 1 or log_size_bits != log_size_bits:  # NaN; ints past 1e308 pass
-        raise ValueError(f"need type2_budget in (0, 1) and log_size_bits not NaN,"
-                         f" got {type2_budget!r} and {log_size_bits!r}")
-    if 1.0 / hash_range >= type2_budget:
-        raise ValueError("need hash collisions rarer than the Type II budget: 1/M < budget")
+    type2_budget = _check_real("type2_budget", type2_budget, 1.0 / hash_range, 1, "()")
+    log_size_bits = _check_real("log_size_bits", log_size_bits, -math.inf, math.inf, "[]")
     if num_messages <= 1:
         return True
     factor = type2_budget * math.log2(hash_range) - 1.0
@@ -434,4 +433,4 @@ def max_messages_log_log(n: int, params: ChannelParams, peak: float) -> float:
 def dif_rate(log_log_bits: float, n: int) -> float:
     """Feedback identification rate log2 log2(N) / n."""
     n = _check_int("n", n, 1, 2**63)
-    return log_log_bits / n
+    return _check_real("log_log_bits", log_log_bits, -math.inf, math.inf, "()") / n

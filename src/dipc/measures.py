@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_real
+
 DEFAULT_TAIL_MASS = 1e-12
 # Poisson laws are summed over their support, about mean + 7*sqrt(mean)
 # points, and the rounding of their log-space masses grows with the mean:
@@ -47,28 +49,17 @@ class FiniteDistribution:
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.int64)
         mass = np.asarray(self.mass, dtype=float)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", mass)
+        tail = _check_real("tail_bound", self.tail_bound, 0, 1, "[]")
+        vars(self).update(support=support, mass=mass, tail_bound=tail)  # frozen: set once, here
         if support.ndim != 1 or support.size != mass.size:
             raise ValueError("support and mass must be 1-D and equally long")
         if support.size and (np.any(support < 0) or np.any(np.diff(support) <= 0)):
             raise ValueError("support must be strictly increasing and nonnegative")
-        if np.any(mass < 0) or self.tail_bound < 0:
+        if np.any(mass < 0):
             raise ValueError("masses must be nonnegative")
-        total = mass.sum() + self.tail_bound
+        total = mass.sum() + tail
         if not (1 - 1e-9 <= total <= 1 + 1e-9):
             raise ValueError(f"total mass {float(total)} not within 1e-9 of 1")
-
-
-def _check_poisson(means, tail_mass: float) -> None:
-    """Raise ValueError unless every mean and ``tail_mass`` suit :func:`poisson_pmf_truncated`."""
-    for mu in means:
-        if not mu >= 0:
-            raise ValueError("Poisson mean must be nonnegative")
-        if mu > MAX_MEAN:
-            raise ValueError(f"Poisson mean {float(mu)} exceeds MAX_MEAN={MAX_MEAN:g}")
-    if not 0 < tail_mass < 1:
-        raise ValueError("tail_mass must lie in (0, 1)")
 
 
 def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> FiniteDistribution:
@@ -80,7 +71,8 @@ def poisson_pmf_truncated(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Fi
     ``tail_mass``, and P(Y > y) is their sum from the far end, so tails down
     to ~1e-300 are supported with numpy alone.
     """
-    _check_poisson([mu], tail_mass)
+    mu = _check_real("mu", mu, 0, MAX_MEAN, "[]")
+    tail_mass = _check_real("tail_mass", tail_mass, 0, 1, "()")
     if mu == 0:
         return FiniteDistribution(np.array([0]), np.array([1.0]), 0.0)
     # P(Y >= mu + t) <= exp(-depth) for t = sqrt(2 mu depth) + 2 depth / 3.
@@ -155,42 +147,35 @@ def poisson_bhattacharyya_sq(mu1: float, mu2: float) -> float:
     The cross term of the overlap sum is itself a Poisson series, which
     collapses the square of the coefficient to exp(-(sqrt(mu1) - sqrt(mu2))^2).
     """
-    if not (0 <= mu1 < math.inf and 0 <= mu2 < math.inf):  # also true for NaN
-        raise ValueError("Poisson means must be nonnegative and finite")
+    mu1, mu2 = _check_real("mu1", mu1, 0), _check_real("mu2", mu2, 0)
     return math.exp(-((math.sqrt(mu1) - math.sqrt(mu2)) ** 2))
 
 
 def min_distance_radius(type1_budget: float, type2_budget: float) -> float:
-    """Packing radius guaranteed by an error budget.
+    """Packing radius an error budget requires: necessary, not sufficient.
 
-    Decoders meeting Type I / Type II budgets force output laws of distinct
-    codewords to total variation at least delta = 1 - type1 - type2, which in
-    the square-root intensity domain means centers at distance 2r with
-    (2r)^2 = -ln(1 - delta^2).
+    Any decoder meeting Type I / Type II budgets forces the output laws of
+    distinct codewords to total variation at least delta = 1 - type1 - type2,
+    which in the square-root intensity domain means centers at distance 2r with
+    (2r)^2 = -ln(1 - delta^2).  This is the converse's radius: codewords 2r
+    apart are not thereby decodable within the budgets.
     """
-    if not (type1_budget >= 0 and type2_budget >= 0):  # also true for NaN
-        raise ValueError("error budgets must be nonnegative")
-    total = type1_budget + type2_budget
-    if total >= 1:
-        raise ValueError("error budgets must sum to less than 1")
-    if total == 0:
-        raise ValueError("zero total error budget makes the radius diverge")
+    total = _check_real("type1_budget", type1_budget, 0, 1)
+    total += _check_real("type2_budget", type2_budget, 0, 1)
+    total = _check_real("type1_budget + type2_budget", total, 0, 1, "()")
     delta = min(1.0 - total, 1.0 - 1e-15)
     return math.sqrt(-math.log1p(-(delta * delta))) / 2.0
 
 
 def poisson_entropy_exact(mu: float, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
     """Entropy of Poisson(mu) in bits by summation over the truncated support."""
-    _check_poisson([mu], tail_mass)  # before the shortcut, as for any other mean
-    if mu == 0:
-        return 0.0
     dist = poisson_pmf_truncated(mu, tail_mass)
     mass = dist.mass[dist.mass > 0]
-    return float(-(mass * np.log2(mass)).sum())
+    return 0.0 - float((mass * np.log2(mass)).sum())  # 0.0, not -0.0, for a point mass
 
 
 def poisson_entropy_approx(mu: float) -> float:
     """Large-mean entropy expansion in bits: 0.5*log2(2*pi*e*mu) - 1/(12*mu*ln2)."""
-    if not mu > 0:
-        raise ValueError("approximation requires a positive mean")
+    # a float for the normal means whose 2*pi*e*mu and 1/(12*mu*ln2) are floats
+    mu = _check_real("mu", mu, np.finfo(float).tiny, np.finfo(float).max / (2 * math.pi * math.e))
     return 0.5 * math.log2(2 * math.pi * math.e * mu) - 1.0 / (12.0 * mu * LN2)

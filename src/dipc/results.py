@@ -7,7 +7,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .channel import _check_int
+from .errors import _check_int
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -67,7 +67,8 @@ class TestDIFCapacityLower:
 
     @pytest.mark.parametrize("peak", [0.0, -1.0, math.nan])
     def test_nonpositive_peak_named(self, peak):
-        with pytest.raises(ValueError, match=f"needs a positive peak, got {peak!r}"):
+        message = rf"^peak must be a number in \(0, inf\), got {peak!r}$"
+        with pytest.raises(ValueError, match=message):
             dif_capacity_lower(FIG2, peak=peak)
 
     def test_gap_shrinks_with_intensity(self):

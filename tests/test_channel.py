@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,15 +89,15 @@ class TestChannelParams:
     @pytest.mark.parametrize("v", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field, message", [
         ("hit_probs", "hit probabilities must lie in"),
-        ("slot_duration", "slot_duration must be positive"),
-        ("dark_rate", "dark_rate must be nonnegative"),
-        ("peak", "peak and average limits must be positive"),
-        ("average", "peak and average limits must be positive"),
+        ("slot_duration", "slot_duration must be a number in (0, inf), got "),
+        ("dark_rate", "dark_rate must be a number in [0, inf), got "),
+        ("peak", "peak must be a number in (0, inf), got "),
+        ("average", "average must be a number in (0, inf), got "),
     ])
     def test_nan_and_infinity_rejected(self, field, message, v):
         """A NaN or infinite field would give NaN means or fail in numpy's
         Poisson sampler long after the link was built."""
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             if field in ("peak", "average"):
                 PowerConstraints(**{"peak": 1.0, "average": 1.0, field: v})
             elif field == "hit_probs":
@@ -160,15 +161,17 @@ class TestEffectiveIntensity:
         with pytest.raises(ValueError):
             effective_intensity([1.0, -1.0], FIG2)
 
-    # NaN passed the sign test: the intensity came back [nan nan nan 0.2]
-    @pytest.mark.parametrize("x", [[math.nan, 1.0], [1.0, -0.5], [0.0, 2.0, math.nan]],
-                             ids=["nan-first", "negative", "nan-last"])
+    # NaN passed the sign test: the intensity came back [nan nan nan 0.2]; an
+    # infinite rate gave NaN log likelihoods
+    @pytest.mark.parametrize("x", [[math.nan, 1.0], [1.0, -0.5], [0.0, 2.0, math.nan],
+                                   [math.inf, 0.0], [1.0, -math.inf]],
+                             ids=["nan-first", "negative", "nan-last", "inf", "minus-inf"])
     def test_nan_or_negative_rate_rejected_by_every_reader(self, x):
         for call in (lambda: effective_intensity(x, FIG2),
                      lambda: log_likelihood(np.zeros(len(x) + 2), x, FIG2),
                      lambda: sample_output(x, FIG2, seed=0),
                      lambda: validate_power(x, PowerConstraints(peak=2.0, average=2.0))):
-            with pytest.raises(ValueError, match="^release rates must be nonnegative$"):
+            with pytest.raises(ValueError, match="^release rates must be nonnegative and finite$"):
                 call()
 
     def test_in_place_scaling_keeps_the_bytes(self):

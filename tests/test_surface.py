@@ -231,3 +231,15 @@ def test_every_count_reader_is_swept():
     assert not unswept, f"in neither the counts sweep nor its exemptions: {unswept}"
     stale = sorted((SWEEP.keys() | EXEMPT.keys()) - public)
     assert not stale, f"swept or exempt, but not a public reader of counts: {stale}"
+
+
+def test_every_float_parameter_is_swept():
+    # a public callable with a rate, budget, scale or slack parameter is in the
+    # sweep of tests/test_float_args.py or exempt from it with a reason
+    from test_float_args import EXEMPT, FLOAT_NAMES, SWEEP
+
+    public = {(name, param) for name, param in _public_parameters() if param in FLOAT_NAMES}
+    unswept = sorted(public - SWEEP.keys() - EXEMPT.keys())
+    assert not unswept, f"in neither the float sweep nor its exemptions: {unswept}"
+    stale = sorted((SWEEP.keys() | EXEMPT.keys()) - public)
+    assert not stale, f"swept or exempt, but not a public float parameter: {stale}"
