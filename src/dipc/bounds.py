@@ -68,13 +68,7 @@ def converse_log_count(
     bits = packing_log_count_bound(n, power_ball_radius(n, params, constraints, memory), radius)
     norm = bits / (n * math.log2(n))
     slack = bits - (1.0 + kappa) / 2.0 * n * math.log2(n)
-    return ConverseBound(
-        n=n,
-        memory=memory,
-        bits=bits,
-        normalized=norm,
-        slack_bits=slack,
-    )
+    return ConverseBound(n=n, memory=memory, bits=bits, normalized=norm, slack_bits=slack)
 
 
 @dataclass(frozen=True)
@@ -96,10 +90,5 @@ def bound_report(kappa: float, params: ChannelParams, peak: float) -> BoundRepor
     """Bundle the capacity bounds for reporting."""
     lower, upper = di_capacity_bounds(kappa)
     exact, asymptotic = dif_capacity_lower(params, peak)
-    return BoundReport(
-        kappa=kappa,
-        di_lower=lower,
-        di_upper=upper,
-        dif_lower_exact=exact,
-        dif_lower_asymptotic=asymptotic,
-    )
+    return BoundReport(kappa=kappa, di_lower=lower, di_upper=upper, dif_lower_exact=exact,
+                       dif_lower_asymptotic=asymptotic)

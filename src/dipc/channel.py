@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import _check_int, _check_real
+from .errors import _check_array, _check_int, _check_real
 from .measures import _log_factorial
 from .seeding import spawn
 
@@ -69,15 +69,12 @@ class ChannelParams(_ByValue):
     dark_rate: float = 0.0
 
     def __post_init__(self):
-        probs = _read_only(np.array(self.hit_probs, dtype=float))
+        probs = _read_only(_check_array("hit_probs", self.hit_probs, 0, 1, "[]"))
         object.__setattr__(self, "hit_probs", probs)
         object.__setattr__(self, "memory", _check_int("memory", self.memory, 0))
-        if probs.ndim != 1 or probs.size != self.memory + 1:
-            raise ValueError(
-                f"hit_probs must have memory+1={self.memory + 1} entries, got {probs.size}"
-            )
-        if not np.all((probs >= 0) & (probs <= 1)):  # also false for NaN
-            raise ValueError("hit probabilities must lie in [0, 1]")
+        if probs.size != self.memory + 1:
+            raise ValueError(f"hit_probs must have memory+1={self.memory + 1} entries,"
+                             f" got {probs.size}")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"hit probabilities must sum to 1, got {float(probs.sum())}")
         duration = _check_real("slot_duration", self.slot_duration, 0, ends="()")
@@ -97,11 +94,14 @@ class PowerConstraints(_Record):
             object.__setattr__(self, name, _check_real(name, getattr(self, name), 0, ends="()"))
 
 
-def _as_codeword(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+def _as_codeword(x, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:
+    """``x`` as float release rates whose means, bounded by max(x) * scale + offset, are finite."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf" or x.ndim != 1 or x.size == 0:
         raise ValueError("codeword must be a nonempty 1-D sequence of release rates")
-    if not (_MIN(x) >= 0 and _MAX(x) < math.inf):  # NaN fails too
+    x = np.asarray(x, dtype=float)
+    # NaN fails too; a Python float's product overflows to inf without a warning
+    if not (_MIN(x) >= 0 and float(_MAX(x)) * scale + offset < math.inf):
         raise ValueError("release rates must be nonnegative and finite")
     return x
 
@@ -148,7 +148,7 @@ def effective_intensity(x, params: ChannelParams) -> np.ndarray:
     convolution is plain full-mode: the last ``memory`` slots hold the ISI
     tail of the final releases plus dark current.
     """
-    x = _as_codeword(x)
+    x = _as_codeword(x, params.slot_duration, params.dark_rate)
     mu = np.convolve(x, params.hit_probs, mode="full")
     mu *= params.slot_duration
     mu += params.dark_rate
@@ -161,9 +161,8 @@ def log_likelihood(y, x, params: ChannelParams) -> float:
     Returns -inf when some slot has zero mean but a positive count.  ln y!
     is scipy's ``gammaln(y + 1)``, computed with numpy alone.
     """
-    x = _as_codeword(x)
-    y = as_output(y, x.size + params.memory).astype(float)
     mu = effective_intensity(x, params)
+    y = as_output(y, mu.size).astype(float)
     if np.any((mu == 0) & (y > 0)):
         return float("-inf")
     # 0*log(0) = 0 for the empty slots.

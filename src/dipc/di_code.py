@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import (ChannelParams, PowerConstraints, _Record, _read_only, as_output,
                       check_index, effective_intensity, validate_power)
-from .errors import _check_int, _check_real
+from .errors import _check_array, _check_int, _check_real
 from .measures import min_distance_radius
 from .results import SimResult, sender_map, tally
 from .seeding import spawn
@@ -98,10 +98,7 @@ class DICodebook(_Record):
     intensities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.codewords = _read_only(np.array(self.codewords, dtype=float))
-        shape = self.codewords.shape
-        if len(shape) != 2 or 0 in shape:
-            raise ValueError(f"codewords must be a nonempty 2-D array, got shape {shape}")
+        self.codewords = _read_only(_check_array("codewords", self.codewords, 0, ndim=2))
         for name, high in (("packing_radius", math.inf), ("type1_budget", 1), ("type2_budget", 1)):
             setattr(self, name, _check_real(name, getattr(self, name), 0, high))
         self.intensities = _read_only(
@@ -183,9 +180,7 @@ def construct_codebook(
     needed = 2.0 * radius * _check_real("separation_scale", separation_scale, 1)
     if levels is None:
         levels = (0.0, constraints.peak / 2.0, constraints.peak)
-    levels = np.sort(np.asarray(levels, dtype=float))
-    if levels.size == 0 or not np.all((levels >= 0) & (levels <= constraints.peak)):
-        raise ValueError("level alphabet must be nonempty and lie in [0, peak]")
+    levels = np.sort(_check_array("levels", levels, 0, constraints.peak, "[]"))
     max_codewords = _check_int("max_codewords", max_codewords, 1, 2**63)
     counts = np.full(levels.size, n // levels.size)
     counts[: n % levels.size] += 1  # remainder on the lowest levels

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import (ChannelParams, PowerConstraints, _ByValue, _Record, _read_only, as_counts,
                       as_output, check_index, effective_intensity)
-from .errors import ConstructionError, _check_int, _check_real
+from .errors import ConstructionError, _check_array, _check_int, _check_real
 from .measures import DEFAULT_TAIL_MASS, MAX_MEAN, poisson_entropy_exact, poisson_pmf_truncated
 from .results import ErrorEstimate, SimResult, tally
 from .seeding import _int_bytes, spawn
@@ -76,11 +76,9 @@ class TypicalSetSpec(_ByValue):
     tail_mass: float
 
     def __post_init__(self):
-        laws = _read_only(np.array(self.letter_laws, dtype=float))
+        laws = _read_only(_check_array("letter_laws", self.letter_laws, 0, MAX_MEAN, "[]"))
         vars(self).update(eps=_check_real("eps", self.eps, 0, math.inf, "(]"), letter_laws=laws,
                           tail_mass=_check_real("tail_mass", self.tail_mass, 0, 1, "()"))
-        if laws.ndim != 1 or laws.size == 0:
-            raise ValueError(f"letter_laws must be a nonempty 1-D array, got shape {laws.shape}")
         dists = [poisson_pmf_truncated(law, self.tail_mass) for law in laws]
         caps = np.array([dist.support[-1] + 1 for dist in dists])
         offsets = np.concatenate([[0], np.cumsum(caps + 1)[:-1]])

@@ -28,11 +28,10 @@ from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook, calibrate_threshold, construct_codebook, estimate_errors
 from .dif_protocol import (build_dif_code, dif_power_fits, estimate_dif_errors,
                            estimate_inner_error, inner_length, inner_patterns_cover)
-from .errors import ConfigError
+from .errors import ConfigError, _check_int, _check_real
 from .measures import DEFAULT_TAIL_MASS, MAX_MEAN
 from .results import result_row
-from .serialize import (_BUDGET, _LINK, _REQUIRED, _check, _integer, _is_int, _is_number, _list,
-                        _loads, _number, _problems)
+from .serialize import _BUDGET, _LINK, _REQUIRED, _list, _loads, _problems, _rule
 
 RESULT_SCHEMA_VERSION = 1
 OUT_DIR_ENV = "DIPC_OUT_DIR"
@@ -63,13 +62,13 @@ def _link(config: dict) -> tuple[ChannelParams, PowerConstraints]:
 
 # Most cells one array of a run may hold: 1 GiB as float64.
 _MAX_CELLS = 2**27
+_COUNT = _rule(_check_int, 1, 2**63)  # sizes and counts fit numpy's int64
 
 # Each kind's config is one field table (see serialize), starting with these.
 _COMMON = {
     "kind": (lambda v: [], _REQUIRED),  # selects the table
-    "master_seed": (_check(lambda v: _is_int(v) and -2**127 <= v < 2**127,
-                           "a signed 128-bit integer"), 0),
-    "out_dir": (_check(lambda v: isinstance(v, str), "a string"), None),
+    "master_seed": (_rule(_check_int, -2**127, 2**127), 0),
+    "out_dir": (lambda v: [] if isinstance(v, str) else ["must be a string"], None),
     **_LINK,
 }
 
@@ -190,21 +189,21 @@ SCHEMAS = {
         "kappa": (_BUDGET, _REQUIRED),
         "lambda1": (_BUDGET, 0.1),
         "lambda2": (_BUDGET, 0.1),
-        "n_grid": (_list(lambda n: _is_int(n) and 2 <= n < 2**63, "integers in [2, 2**63)"), None),
+        "n_grid": (_list(_rule(_check_int, 2, 2**63)), None),
     }, [
         _BUDGET_SUM,
         (_converse_fits, "n_grid: the packing radius exceeds the power-ball radius at some n"),
     ], _run_bounds),
     "di-sim": ({
         **_COMMON,
-        "n": (_integer(1), _REQUIRED),
-        "trials": (_integer(1), _REQUIRED),
+        "n": (_COUNT, _REQUIRED),
+        "trials": (_COUNT, _REQUIRED),
         "lambda1": (_BUDGET, 0.1),
         "lambda2": (_BUDGET, 0.1),
-        "max_codewords": (_integer(1), 16),
-        "levels": (_list(_is_number, "numbers"), None),
-        "separation_scale": (_number(lambda v: 1 <= v < math.inf, ">= 1"), 1.0),
-        "calibration_trials": (_integer(1000), lambda d: max(1000, d["trials"])),
+        "max_codewords": (_COUNT, 16),
+        "levels": (_list(_rule(_check_real, 0)), None),
+        "separation_scale": (_rule(_check_real, 1), 1.0),
+        "calibration_trials": (_rule(_check_int, 1000, 2**63), lambda d: max(1000, d["trials"])),
         "calibration_target": (_BUDGET, lambda d: d["lambda1"]),
     }, [
         _BUDGET_SUM,
@@ -218,20 +217,18 @@ SCHEMAS = {
     ], _run_di_sim),
     "dif-sim": ({
         **_COMMON,
-        "n": (_integer(1), _REQUIRED),
-        "trials": (_integer(1), _REQUIRED),
-        "eps": (_number(lambda v: v > 0, "in (0, inf]"), 0.2),
-        "lambda2": (_number(lambda v: 0 < v < 1, "in (0, 1)"), 0.1),
+        "n": (_COUNT, _REQUIRED),
+        "trials": (_COUNT, _REQUIRED),
+        "eps": (_rule(_check_real, 0, math.inf, "(]"), 0.2),
+        "lambda2": (_rule(_check_real, 0, 1, "()"), 0.1),
         # the next power of two of 2/lambda2: collisions spend half the Type II budget
-        "hash_range": (_integer(1), lambda d: 2 ** math.ceil(math.log2(2.0 / d["lambda2"]))),
-        "num_messages": (_integer(1, bits=128), lambda d: 2 * d["hash_range"]),
+        "hash_range": (_COUNT, lambda d: 2 ** math.ceil(math.log2(2.0 / d["lambda2"]))),
+        "num_messages": (_rule(_check_int, 1, 2**128), lambda d: 2 * d["hash_range"]),
         # a sender's index is a signed 128-bit seed part of its streams
-        "pairs": (_list(lambda p: isinstance(p, list) and len(p) == 2 and p[0] != p[1]
-                        and all(_is_int(v) and 0 <= v < 2**b for v, b in zip(p, (127, 128))),
-                        "[sent, tested] index pairs in [0, 2**127) x [0, 2**128), sent != tested"),
+        "pairs": (_list(_list((_rule(_check_int, 0, 2**127), _rule(_check_int, 0, 2**128)))),
                   lambda d: [[0, 1], [1, 0]]),
-        "inner_error_trials": (_integer(1), lambda d: d["trials"]),
-        "tail_mass": (_number(lambda v: 0 < v < 1, "in (0, 1)"), DEFAULT_TAIL_MASS),
+        "inner_error_trials": (_COUNT, lambda d: d["trials"]),
+        "tail_mass": (_rule(_check_real, 0, 1, "()"), DEFAULT_TAIL_MASS),
     }, [
         (lambda d: d["n"] > d["channel"]["memory"],
          "n: the pilot needs a full block, n >= channel.memory + 1, got {n}"),
@@ -241,6 +238,8 @@ SCHEMAS = {
          "hash_range: at most 2**ceil(sqrt(n)) inner codewords exist, got {hash_range}"),
         (lambda d: all(i < d["num_messages"] for p in d["pairs"] for i in p),
          "pairs: a message index lies outside [0, {num_messages})"),
+        (lambda d: all(sent != tested for sent, tested in d["pairs"]),
+         "pairs: sent and tested must differ"),
         (lambda d: dif_power_fits(d["n"], d["channel"]["memory"], d["hash_range"], _link(d)[1]),
          "power: average too small for the pilot plus the heaviest inner codeword"),
         # the largest arrays: the phase-2 intensity table and the phase-1 pilot

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_real
+from .errors import _check_array, _check_real
 
 DEFAULT_TAIL_MASS = 1e-12
 # Poisson laws are summed over their support, about mean + 7*sqrt(mean)
@@ -47,16 +47,14 @@ class FiniteDistribution:
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.int64)
-        mass = np.asarray(self.mass, dtype=float)
+        support = _check_array("support", self.support, 0, 2**63, kinds="iu")
+        mass = _check_array("mass", self.mass, 0, 1, "[]")
         tail = _check_real("tail_bound", self.tail_bound, 0, 1, "[]")
         vars(self).update(support=support, mass=mass, tail_bound=tail)  # frozen: set once, here
-        if support.ndim != 1 or support.size != mass.size:
-            raise ValueError("support and mass must be 1-D and equally long")
-        if support.size and (np.any(support < 0) or np.any(np.diff(support) <= 0)):
-            raise ValueError("support must be strictly increasing and nonnegative")
-        if np.any(mass < 0):
-            raise ValueError("masses must be nonnegative")
+        if support.size != mass.size:
+            raise ValueError("support and mass must be equally long")
+        if np.any(np.diff(support) <= 0):
+            raise ValueError("support must be strictly increasing")
         total = mass.sum() + tail
         if not (1 - 1e-9 <= total <= 1 + 1e-9):
             raise ValueError(f"total mass {float(total)} not within 1e-9 of 1")

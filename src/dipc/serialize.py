@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .channel import ChannelParams, PowerConstraints
 from .di_code import DICodebook, validate_codebook
+from .errors import _check_int, _check_real
 
 CODEBOOK_SCHEMA = "dipc-codebook/1"
 
@@ -31,40 +32,34 @@ CODEBOOK_SCHEMA = "dipc-codebook/1"
 _REQUIRED = object()
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _rule(rule, *interval):
+    """Check a number by ``rule`` (errors._check_int or _check_real) on ``interval``."""
+    def check(value):
+        try:
+            rule("", value, *interval)
+        except ValueError as exc:
+            return [str(exc).lstrip()]
+        return []
+    return check
 
 
-def _is_number(v) -> bool:
-    """An int or float, not a bool, not NaN, within the float range."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v)
-    except OverflowError:  # an int beyond the float range
-        return False
+def _list(entry):
+    """Check a nonempty list whose entries pass ``entry``, or a list of one entry per
+    check of a tuple ``entry``; entries that are lists (rows) must be equally long.  The
+    problem names the first bad entry: a book of 9,216 bad values gives one problem."""
+    fixed = isinstance(entry, tuple)
 
-
-def _check(test, what):
-    """Check that ``test(value)`` holds; otherwise the value must be ``what``.
-    The message abbreviates a long value: a codebook's rows run to tens of kB."""
-    return lambda v: [] if test(v) else [f"must be {what}, got {reprlib.repr(v)}"]
-
-
-def _integer(low, bits=63):
-    """An integer in [low, 2**bits); sizes and counts fit numpy's int64."""
-    return _check(lambda v: _is_int(v) and low <= v < 2**bits,
-                  f"an integer in [{low}, 2**{bits})")
-
-
-def _number(test, what):
-    return _check(lambda v: _is_number(v) and test(v), f"a number {what}")
-
-
-def _is_list(v, test) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(test(x) for x in v)
-
-
-def _list(test, what):
-    return _check(lambda v: _is_list(v, test), f"a nonempty list of {what}")
+    def check(value):
+        if not isinstance(value, list) or (len(value) != len(entry) if fixed else not value):
+            what = f"a list of {len(entry)} entries" if fixed else "a nonempty list"
+            return [f"must be {what}, got {reprlib.repr(value)}"]
+        for k, v in enumerate(value):
+            for problem in (entry[k] if fixed else entry)(v)[:1]:
+                return [f"[{k}]{'' if problem.startswith('[') else ': '}{problem}"]
+        if len({len(v) for v in value if isinstance(v, list)}) > 1:
+            return ["must hold rows of one length"]
+        return []
+    return check
 
 
 def _object(table, build=None):
@@ -95,13 +90,13 @@ def _problems(table: dict, value: dict) -> list[str]:
     return problems
 
 
-_POSITIVE = _number(lambda v: 0 < v < math.inf, "in (0, inf)")
-_NONNEGATIVE = _number(lambda v: 0 <= v < math.inf, "in [0, inf)")
-_BUDGET = _number(lambda v: 0 <= v < 1, "in [0, 1)")
+_POSITIVE = _rule(_check_real, 0, math.inf, "()")
+_NONNEGATIVE = _rule(_check_real, 0)
+_BUDGET = _rule(_check_real, 0, 1)
 
 _CHANNEL = {
-    "memory": (_integer(0), _REQUIRED),
-    "hit_probs": (_list(lambda p: _is_number(p) and 0 <= p <= 1, "numbers in [0, 1]"), _REQUIRED),
+    "memory": (_rule(_check_int, 0, 2**63), _REQUIRED),
+    "hit_probs": (_list(_rule(_check_real, 0, 1, "[]")), _REQUIRED),
     "slot_duration": (_POSITIVE, None),
     "dark_rate": (_NONNEGATIVE, None),
 }
@@ -118,10 +113,8 @@ _CODEBOOK = {
     "packing_radius": (_NONNEGATIVE, _REQUIRED),
     "type1_budget": (_BUDGET, _REQUIRED),
     "type2_budget": (_BUDGET, _REQUIRED),
-    "threshold": (_check(_is_number, "a number"), _REQUIRED),
-    "codewords": (_check(lambda v: _is_list(v, lambda row: _is_list(row, _is_number))
-                         and len(set(map(len, v))) == 1,
-                         "a nonempty list of equal-length nonempty lists of numbers"), _REQUIRED),
+    "threshold": (_rule(_check_real, -math.inf, math.inf, "[]"), _REQUIRED),
+    "codewords": (_list(_list(_NONNEGATIVE)), _REQUIRED),
 }
 
 
@@ -147,15 +140,9 @@ def codebook_from_dict(data: dict) -> DICodebook:
     problems = _object(_CODEBOOK)(data)
     if problems:
         raise ValueError("codebook: " + "; ".join(problems))
-    book = DICodebook(
-        codewords=data["codewords"],
-        params=ChannelParams(**data["channel"]),
-        constraints=PowerConstraints(**data["power"]),
-        packing_radius=data["packing_radius"],
-        type1_budget=data["type1_budget"],
-        type2_budget=data["type2_budget"],
-        threshold=data["threshold"],
-    )
+    book = DICodebook(data["codewords"], ChannelParams(**data["channel"]),
+                      PowerConstraints(**data["power"]), data["packing_radius"],
+                      data["type1_budget"], data["type2_budget"], data["threshold"])
     validate_codebook(book)
     return book
 

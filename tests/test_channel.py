@@ -88,7 +88,7 @@ class TestChannelParams:
 
     @pytest.mark.parametrize("v", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field, message", [
-        ("hit_probs", "hit probabilities must lie in"),
+        ("hit_probs", "hit_probs must be a nonempty 1-D array of numbers in [0, 1], got "),
         ("slot_duration", "slot_duration must be a number in (0, inf), got "),
         ("dark_rate", "dark_rate must be a number in [0, inf), got "),
         ("peak", "peak must be a number in (0, inf), got "),

@@ -119,7 +119,8 @@ class TestCodebookFields:
 
     @pytest.mark.parametrize("rate", [-1.0, math.nan])
     def test_negative_rate_rejected_when_made(self, rate):
-        with pytest.raises(ValueError, match="release rates must be nonnegative"):
+        message = r"^codewords must be a nonempty 2-D array of numbers in \[0, inf\)"
+        with pytest.raises(ValueError, match=message):
             DICodebook([[1.0, rate]], FIG2, POWER, 0.1, 0.1, 0.1)
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -295,7 +296,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("levels", [[], [math.nan, 10.0]], ids=["empty", "nan"])
     def test_level_alphabet_must_be_nonempty_numbers_in_range(self, levels):
-        with pytest.raises(ValueError, match=r"level alphabet must be nonempty and lie in \[0, peak\]"):
+        message = r"^levels must be a nonempty 1-D array of numbers in \[0, 10\.0\], got "
+        with pytest.raises(ValueError, match=message):
             construct_codebook(8, FIG2, POWER, 0.1, 0.1, max_codewords=4, levels=levels)
 
     def test_budget_separating_no_pair_gives_one_codeword(self):

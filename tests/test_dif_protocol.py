@@ -182,20 +182,27 @@ class TestTypicality:
         with pytest.raises(ValueError):
             typical_test(np.zeros((5, 2), dtype=int), self.spec())
 
-    # Each used to build and raise only at the first typicality test.
-    @pytest.mark.parametrize("laws, tail_mass, message", [
-        ([math.nan, 1.0, 1.0], 1e-12, r"^mu must be a number in \[0, 100000\.0\], got nan$"),
-        ([6.1, -0.5, 1.1], 1e-12, r"^mu must be a number in \[0, 100000\.0\], got -0\.5$"),
-        ([6.1, 2e5, 1.1], 1e-12, r"^mu must be a number in \[0, 100000\.0\], got 200000\.0$"),
-        ([6.1, 3.1, 1.1], 2.0, r"^tail_mass must be a number in \(0, 1\), got 2\.0$"),
-        ([6.1, 3.1, 1.1], 0.0, r"^tail_mass must be a number in \(0, 1\), got 0\.0$"),
-        ([6.1, 3.1, 1.1], math.nan, r"^tail_mass must be a number in \(0, 1\), got nan$"),
+    # Each used to build and raise only at the first typicality test.  The
+    # reader of the table, poisson_pmf_truncated, names its own parameter.
+    LAWS = r"^letter_laws must be a nonempty 1-D array of numbers in \[0, 100000\.0\], got "
+
+    @pytest.mark.parametrize("laws, tail_mass, message, reader", [
+        ([math.nan, 1.0, 1.0], 1e-12, LAWS + r"\[nan, 1\.0, 1\.0\]$",
+         r"^mu must be a number in \[0, 100000\.0\], got nan$"),
+        ([6.1, -0.5, 1.1], 1e-12, LAWS + r"\[6\.1, -0\.5, 1\.1\]$",
+         r"^mu must be a number in \[0, 100000\.0\], got -0\.5$"),
+        ([6.1, 2e5, 1.1], 1e-12, LAWS + r"\[6\.1, 200000\.0, 1\.1\]$",
+         r"^mu must be a number in \[0, 100000\.0\], got 200000\.0$"),
+        *[([6.1, 3.1, 1.1], tail_mass, message, message) for tail_mass, message in [
+            (2.0, r"^tail_mass must be a number in \(0, 1\), got 2\.0$"),
+            (0.0, r"^tail_mass must be a number in \(0, 1\), got 0\.0$"),
+            (math.nan, r"^tail_mass must be a number in \(0, 1\), got nan$")]],
     ])
-    def test_bad_laws_and_tail_mass_rejected_when_built(self, laws, tail_mass, message):
+    def test_bad_laws_and_tail_mass_rejected_when_built(self, laws, tail_mass, message, reader):
         for eps in (0.2, math.inf):
             with pytest.raises(ValueError, match=message):
                 TypicalSetSpec(eps=eps, letter_laws=laws, tail_mass=tail_mass)
-        with pytest.raises(ValueError, match=message):  # the messages of the table's reader
+        with pytest.raises(ValueError, match=reader):
             for law in laws:
                 poisson_pmf_truncated(law, tail_mass)
 
@@ -314,8 +321,8 @@ class TestHashFamily:
     ])
     def test_sizes_must_be_integers(self, field, value):
         sizes = {"num_messages": 4, "hash_range": 1, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1 and below"
-                                             f" {2**128}, got "):
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be an integer >= 1 and below 2\*\*128, got "):
             HashFamily(master_seed=1, **sizes)
 
     def test_num_messages_fits_the_16_byte_index(self):

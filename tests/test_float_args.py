@@ -119,8 +119,9 @@ INFINITE_OK = {"threshold", "eps"}
 
 HOSTILE = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0, "5e-324": 5e-324,
-    "1e308": 1e308, "True": True, "np.float32(0.5)": np.float32(0.5),
-    "np.float64(0.5)": np.float64(0.5), "'0.5'": "0.5", "None": None,
+    "1e308": 1e308, "10**400": 10**400, "-10**400": -10**400, "True": True,
+    "np.float32(0.5)": np.float32(0.5), "np.float64(0.5)": np.float64(0.5), "'0.5'": "0.5",
+    "None": None,
 }
 
 

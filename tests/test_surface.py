@@ -243,3 +243,45 @@ def test_every_float_parameter_is_swept():
     assert not unswept, f"in neither the float sweep nor its exemptions: {unswept}"
     stale = sorted((SWEEP.keys() | EXEMPT.keys()) - public)
     assert not stale, f"swept or exempt, but not a public float parameter: {stale}"
+
+
+def _numbers(check):
+    """(entry path, rule) of every number a document field check tests: a check
+    made by serialize._rule, or a list of them, made by serialize._list."""
+    import inspect
+
+    made_by = getattr(check, "__qualname__", "").removesuffix(".<locals>.check")
+    if made_by not in ("_rule", "_list"):
+        return []
+    captured = inspect.getclosurevars(check).nonlocals
+    if made_by == "_rule":
+        return [((), captured["rule"])]
+    entry = captured["entry"]
+    entries = enumerate(entry) if isinstance(entry, tuple) else [(0, entry)]
+    return [((k, *path), rule) for k, each in entries for path, rule in _numbers(each)]
+
+
+def test_every_document_field_is_swept():
+    # every number a config or codebook field holds is checked by errors' rules
+    # and swept by tests/test_document_args.py; every other field is exempt there
+    from test_document_args import NOT_NUMBERS, SWEEP
+
+    from dipc import errors, harness, serialize
+
+    tables = {kind: fields for kind, (fields, _, _) in harness.SCHEMAS.items()}
+    tables.update(channel=serialize._CHANNEL, power=serialize._POWER,
+                  codebook=serialize._CODEBOOK)
+    numbers, others = set(), set()
+    for table, fields in tables.items():
+        for name, (check, _) in fields.items():
+            found = _numbers(check)
+            assert {rule for _, rule in found} <= {errors._check_int, errors._check_real}
+            numbers |= {(table, name, path) for path, _ in found}
+            if not found:
+                others.add((table, name))
+    unswept = sorted(numbers - SWEEP.keys())
+    assert not unswept, f"numbers missing from the document sweep: {unswept}"
+    stale = sorted(SWEEP.keys() - numbers)
+    assert not stale, f"swept, but not a number of a document: {stale}"
+    mismatched = sorted(others ^ NOT_NUMBERS.keys())
+    assert not mismatched, f"checked by no number rule but not exempt, or the reverse: {mismatched}"
